@@ -8,7 +8,7 @@ forecast block flattens into its canonical vector.
 
 import numpy as np
 
-from ctrec import build_cs, build_ct, build_te, commutation
+from ctrec import build_cs, build_ct, build_te
 
 np.set_printoptions(linewidth=120, suppress=True)
 
@@ -40,11 +40,13 @@ x = ct.vectorize(X)
 print("\ncanonical vector starts with the first series' temporal run:")
 print(x[: ct.n_positions], "== total's (annual, 2 half-years, 4 quarters)")
 
-# The layout permutation connects series-major and position-major views.
-perm = commutation(ct.n_series, ct.n_positions)
-position_major = X.ravel(order="F")
-print("\npermuted position-major vector reproduces the canonical one:",
-      np.array_equal(position_major[perm], x))
+# The position-major view (one cross-sectional vector per position) is the
+# transpose's flattening; transposing back reproduces the canonical vector.
+position_major = X.T.ravel()
+print("\nposition-major vector starts with the first position's cross-section:",
+      position_major[: ct.n_series])
+print("transposing back reproduces the canonical one:",
+      np.array_equal(position_major.reshape(ct.n_positions, ct.n_series).T.ravel(), x))
 
 # The combined summing and constraint maps annihilate each other exactly.
 prod = (ct.full_constraint("ct") @ ct.full_summing("ct")).toarray()

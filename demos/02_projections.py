@@ -23,8 +23,8 @@ print("instance: block", (ct.n_series, ct.n_positions), "vector length", ct.dim)
 x_hat = rng.normal(size=ct.dim) + 3.0
 sigma = rng.uniform(0.5, 2.0, size=ct.dim)  # a diagonal covariance
 
-via_summing = structural_projector(ct.full_summing("ct"), sigma, "ct")
-via_constraints = zero_projector(ct.full_constraint("ct"), sigma, "ct")
+via_summing = structural_projector(ct.full_summing("ct"), sigma)
+via_constraints = zero_projector(ct.full_constraint("ct"), sigma)
 
 a = via_summing(x_hat)
 b = via_constraints(x_hat)

@@ -56,16 +56,17 @@ for report in (
 print("(one-dimensional and sequential methods leave the other dimension "
       "visibly incoherent; the averaged, one-shot and alternating ones do not)")
 
-# Constant weights: every composite strategy lands on the same point.
-w = rng.uniform(0.5, 2.0, size=ct.n_series)
-om = rng.uniform(0.5, 2.0, size=ct.n_positions)
-target = reconcile_oct(block, np.kron(w, om)).block
+# Constant weights: every composite strategy lands on the same point. Every
+# strategy reads an (n, q) weight table, so one weight vector per dimension
+# is spread over the table: w by series, om by temporal position.
+w = np.outer(rng.uniform(0.5, 2.0, size=ct.n_series), np.ones(ct.n_positions))
+om = np.outer(np.ones(ct.n_series), rng.uniform(0.5, 2.0, size=ct.n_positions))
+target = reconcile_oct(block, w * om).block
 print("\nwith one weight vector per dimension, gaps to the one-shot solution:")
 for name, report in [
     ("seq-cst", reconcile_seq(block, w, om, order="cst")),
     ("seq-tcs", reconcile_seq(block, w, om, order="tcs")),
-    ("ka-tcs", reconcile_ka(block, {k: w for k in ct.te.orders},
-                            np.tile(om, (ct.n_series, 1)), order="tcs")),
+    ("ka-tcs", reconcile_ka(block, w, om, order="tcs")),
     ("ite-cst", reconcile_iterative(block, w, om, order="cst")),
 ]:
     extra = f" (cycles: {report.iterations})" if name.startswith("ite") else ""
@@ -82,7 +83,7 @@ dip = ct.from_bottom_hf(
         ]
     )
 )
-report = reconcile_oct(ForecastBlock(dip, ct), np.kron(w, om))
+report = reconcile_oct(ForecastBlock(dip, ct), w * om)
 clamped = sntz(report)
 print("\nnegative clamping:", report.method, "->", clamped.method)
 print("  finest bottom minimum before:", ct.bottom_hf(report.block.values).min())

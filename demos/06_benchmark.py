@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Timing and memory at the 324-series hourly scale.
 
-The alternating heuristic costs one pair of small solves per cycle, so with
-weights that make it collapse to a single cycle it is by far the cheapest
-route to fully coherent forecasts; with variance-scaled weights it needs
-many cycles and ends up costing more than the one-shot sparse solve. Both
-effects are visible here. Expect a couple of minutes.
+The alternating heuristic costs one pair of batched uni-dimensional
+projections per cycle, so with weights that make it collapse to a single
+cycle it is the cheapest route to fully coherent forecasts; with
+variance-scaled weights it needs more cycles, yet still costs a fraction of
+the one-shot solve, which factors an 11 808-row sparse constraint system
+per origin. Both effects are visible here. Expect about ten seconds.
 """
 
 from dataclasses import replace
-
-import numpy as np
 
 from ctrec import (
     pv324_structure,
@@ -33,13 +32,12 @@ data = simulate_dataset(ct, n_origins=REPS, n_residual_origins=20, noise_sd=0.5,
 
 ols = sigma_ols(ct)
 wlsv = sigma_wlsv(ct, data.residuals)
-ident = (np.ones(ct.n_series), np.ones(ct.n_positions))
 
 reports = []
 for block in data.bases:
     runs = {
         "ite-tcs[ols]": reconcile_iterative(
-            block, *ident, order="tcs", measure_memory=True
+            block, ols, ols, order="tcs", measure_memory=True
         ),
         "ite-tcs[wlsv]": reconcile_iterative(
             block, wlsv, wlsv, order="tcs", max_iter=1000, measure_memory=True

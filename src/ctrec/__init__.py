@@ -39,13 +39,9 @@ from .hierarchy import (
     build_cs,
     build_ct,
     build_te,
-    commutation,
 )
 from .projection import (
     Projector,
-    averaged_cs_projector,
-    averaged_te_projector,
-    oblique_matrix,
     structural_projector,
     zero_projector,
 )
@@ -87,21 +83,17 @@ __all__ = [
     "StructureError",
     "TemporalStructure",
     "ValidationError",
-    "averaged_cs_projector",
-    "averaged_te_projector",
     "baseline_bu",
     "baseline_pers_bu",
     "build_cs",
     "build_ct",
     "build_sigma",
     "build_te",
-    "commutation",
     "frobenius_gap",
     "frobenius_trace",
     "mcb_nemenyi",
     "nrmse",
     "nrmse_table",
-    "oblique_matrix",
     "perf_summary",
     "pv324_structure",
     "random_structure",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import io
-from .covariance import CovarianceSpec, build_sigma
+from .covariance import CovarianceSpec
 from .errors import NumericalError, ReconciliationError, ValidationError
 from .evaluate import EvalFrame, mcb_nemenyi, nrmse_table, perf_summary
 from .hierarchy import CrossTemporalStructure, build_cs, build_ct, build_te
@@ -157,12 +157,13 @@ def cmd_reconcile(config: RunConfig, input_path: Path, residuals_path, history_p
     histories = io.read_history_csv(history_path, ct) if history_path else None
     strategy = _strategy(config, ct, residuals, histories)
     reports = run_batch(blocks, strategy, max_workers=config.threads)
+    if len(reports) != len(blocks):
+        raise ReconciliationError(f"{len(reports)} reports for {len(blocks)} origins")
     config.out.mkdir(parents=True, exist_ok=True)
     io.write_blocks_csv(config.out / "reconciled.csv", [r.block for r in reports])
     io.write_reports_jsonl(
         config.out / "reports.jsonl", reports, timings=config.timings
     )
-    assert len(reports) == len(blocks)
     print(f"reconciled {len(reports)} origins -> {config.out}")
     if any("non-converged" in r.flags for r in reports):
         return EXIT_NON_CONVERGENCE
@@ -266,30 +267,16 @@ def cmd_bench(config: RunConfig, methods: list[str], covariances: list[str], noi
     data = simulate_dataset(
         ct, n_origins=config.reps, n_residual_origins=20, noise_sd=noise, seed=config.seed
     )
+    histories = {b.origin_id: h for b, h in zip(data.bases, data.histories)}
     reports: list[ReconcileReport] = []
     for cov in covariances:
-        sigma = build_sigma(cov, ct, data.residuals)
         for method in methods:
+            run = _strategy(
+                replace(config, method=method, covariance=cov, timings=True),
+                ct, data.residuals, histories,
+            )
             for block in data.bases:
-                if method == "oct":
-                    report = reconcile_oct(block, sigma, measure_memory=True)
-                elif method.startswith("ka-"):
-                    report = reconcile_ka(
-                        block, sigma, sigma, order=method[3:], measure_memory=True
-                    )
-                elif method.startswith("ite-"):
-                    report = reconcile_iterative(
-                        block,
-                        sigma,
-                        sigma,
-                        order=method[4:],
-                        delta=config.delta,
-                        max_iter=config.max_iter,
-                        measure_memory=True,
-                    )
-                else:
-                    raise ValidationError(f"bench does not cover method {method!r}")
-                reports.append(replace(report, method=f"{method}[{cov}]"))
+                reports.append(replace(run(block), method=f"{method}[{cov}]"))
     rows = perf_summary(reports)
     config.out.mkdir(parents=True, exist_ok=True)
     io.write_perf_csv(config.out / "perf.csv", rows)

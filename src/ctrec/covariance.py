@@ -2,12 +2,11 @@
 
 Every named rule (identity, structural scaling in three flavors, and
 per-series/per-order variance scaling) produces a diagonal matrix. The
-diagonal is stored once, in the canonical series-major layout, and can be
-viewed per aggregation order (one cross-sectional weight vector per order)
-or per series (one temporal weight vector per series). The three framework
-variants of a named rule share that diagonal by construction, which is
-exactly the premise under which the alternating heuristic converges to the
-one-shot solution.
+diagonal is stored once, in the canonical series-major layout; its (n, q)
+cell table is the weight table every strategy reads — by column in the
+cross-sectional step, by row in the temporal step. Both dimensions reading
+one table is exactly the premise under which the alternating heuristic
+converges to the one-shot solution.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class ResidualSet:
 
 @dataclass(frozen=True)
 class DiagonalSigma:
-    """A diagonal covariance in the canonical layout, with structure views.
+    """A diagonal covariance in the canonical layout, with its cell-table view.
 
     ``floored`` records (series index, order) cells whose estimated variance
     was lifted to the floor; reconciliation reports surface the flag.
@@ -81,7 +80,6 @@ class DiagonalSigma:
     structure: CrossTemporalStructure
     diag: np.ndarray
     name: str
-    framework: str = "ct"
     floored: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
@@ -101,36 +99,13 @@ class DiagonalSigma:
         ct = self.structure
         return self.diag.reshape(ct.n_series, ct.n_positions)
 
-    def per_order(self) -> dict[int, np.ndarray]:
-        """One cross-sectional weight vector per aggregation order.
 
-        Requires the diagonal to be constant across the positions of each
-        order, which holds for every named rule.
-        """
-        ct, cells = self.structure, self.cells()
-        out = {}
-        for k in ct.te.orders:
-            block = cells[:, ct.te.order_slice(k)]
-            if not np.all(block == block[:, :1]):
-                raise ValidationError(
-                    f"diagonal varies within order {k}; no per-order view exists"
-                )
-            out[k] = block[:, 0].copy()
-        return out
-
-    def per_series(self) -> np.ndarray:
-        """One temporal weight vector per series (rows of :meth:`cells`)."""
-        return self.cells().copy()
+def sigma_ols(ct: CrossTemporalStructure) -> DiagonalSigma:
+    """Identity covariance: plain least squares in every dimension."""
+    return DiagonalSigma(ct, np.ones(ct.dim), name="ols")
 
 
-def sigma_ols(ct: CrossTemporalStructure, framework: str = "ct") -> DiagonalSigma:
-    """Identity covariance: plain least squares in every framework."""
-    return DiagonalSigma(ct, np.ones(ct.dim), name="ols", framework=framework)
-
-
-def sigma_str(
-    ct: CrossTemporalStructure, framework: str = "ct", variant: str = "ct"
-) -> DiagonalSigma:
+def sigma_str(ct: CrossTemporalStructure, variant: str = "ct") -> DiagonalSigma:
     """Structural scaling: row sums of the summing matrices.
 
     variant "ct" scales by both factors (the row sums of the combined map),
@@ -149,13 +124,12 @@ def sigma_str(
         name = "str_te"
     else:
         raise ValidationError(f"unknown structural variant {variant!r}")
-    return DiagonalSigma(ct, diag, name=name, framework=framework)
+    return DiagonalSigma(ct, diag, name=name)
 
 
 def sigma_wlsv(
     ct: CrossTemporalStructure,
     residuals: ResidualSet,
-    framework: str = "ct",
     floor: float = DEFAULT_VARIANCE_FLOOR,
     center: bool = False,
 ) -> DiagonalSigma:
@@ -194,7 +168,6 @@ def sigma_wlsv(
         ct,
         cells.ravel(),
         name="wlsv",
-        framework=framework,
         floored=tuple(floored),
     )
 
@@ -203,18 +176,17 @@ def build_sigma(
     name: str,
     ct: CrossTemporalStructure,
     residuals: ResidualSet | None = None,
-    framework: str = "ct",
 ) -> DiagonalSigma:
     """Build a named covariance; wlsv requires residuals."""
     if name == "ols":
-        return sigma_ols(ct, framework)
+        return sigma_ols(ct)
     if name in ("str", "str_cs", "str_te"):
         variant = "ct" if name == "str" else name.split("_")[1]
-        return sigma_str(ct, framework, variant=variant)
+        return sigma_str(ct, variant=variant)
     if name == "wlsv":
         if residuals is None:
             raise ValidationError("wlsv needs a residual set")
-        return sigma_wlsv(ct, residuals, framework)
+        return sigma_wlsv(ct, residuals)
     raise ValidationError(f"unknown covariance {name!r}; choose from {COVARIANCE_NAMES}")
 
 
@@ -223,7 +195,6 @@ class CovarianceSpec:
     """A named covariance construction rule bound to an optional residual set."""
 
     name: str
-    framework: str = "ct"
     residuals: ResidualSet | None = None
 
     def __post_init__(self):
@@ -231,8 +202,6 @@ class CovarianceSpec:
             raise ValidationError(
                 f"unknown covariance {self.name!r}; choose from {COVARIANCE_NAMES}"
             )
-        if self.framework not in ("cs", "te", "ct"):
-            raise ValidationError(f"unknown framework {self.framework!r}")
 
     def build(self, ct: CrossTemporalStructure) -> DiagonalSigma:
-        return build_sigma(self.name, ct, self.residuals, self.framework)
+        return build_sigma(self.name, ct, self.residuals)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata, studentized_range
 
 from .errors import ValidationError
 from .hierarchy import CrossTemporalStructure
@@ -222,6 +221,8 @@ def mcb_nemenyi(
     quantile at level alpha over J candidates and L cases, and each interval
     spans mean rank ± half the critical distance.
     """
+    from scipy.stats import rankdata, studentized_range  # slow import, only needed here
+
     names = list(frame.candidates)
     if len(names) < 2:
         raise ValidationError("the comparison needs at least two candidates")

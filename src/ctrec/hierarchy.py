@@ -32,8 +32,6 @@ from .errors import StructureError
 # Fail fast before allocating vectors longer than this (overridable per build).
 DEFAULT_SIZE_CAP = 1_000_000
 
-FRAMEWORKS = ("cs", "te", "ct")
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -85,6 +83,10 @@ class CrossSectionalStructure:
     @cached_property
     def summing_dense(self) -> np.ndarray:
         return _readonly(np.vstack([self.agg, np.eye(self.n_bottom)]))
+
+    @cached_property
+    def constraint_dense(self) -> np.ndarray:
+        return _readonly(np.hstack([np.eye(self.n_upper), -self.agg]))
 
     @property
     def row_sums(self) -> np.ndarray:
@@ -159,6 +161,11 @@ class TemporalStructure:
     @cached_property
     def summing_dense(self) -> np.ndarray:
         return _readonly(self.summing().toarray())
+
+    @cached_property
+    def constraint_dense(self) -> np.ndarray:
+        k = self.k_star
+        return _readonly(np.hstack([np.eye(k), -self.summing_dense[:k]]))
 
     @property
     def row_sums(self) -> np.ndarray:
@@ -263,13 +270,13 @@ class CrossTemporalStructure:
 
     def cs_residual(self, X: np.ndarray) -> float:
         """Largest absolute cross-sectional constraint violation of a block."""
-        return float(np.abs(self.cs.constraint() @ X).max())
+        return float(np.abs(self.cs.constraint_dense @ X).max())
 
     def te_residual(self, X: np.ndarray) -> float:
         """Largest absolute temporal constraint violation of a block."""
         if self.te.k_star == 0:  # single-order grid: nothing to violate
             return 0.0
-        return float(np.abs(X @ self.te.constraint().T).max())
+        return float(np.abs(X @ self.te.constraint_dense.T).max())
 
     def coherence_residuals(self, X: np.ndarray) -> tuple[float, float]:
         return self.cs_residual(X), self.te_residual(X)
@@ -375,15 +382,3 @@ def build_ct(
             f"(residual {residual:.3e})"
         )
     return ct
-
-
-def commutation(n: int, q: int) -> np.ndarray:
-    """Index map of the permutation sending column-major to row-major order.
-
-    For any ``n x q`` matrix ``X``: ``X.T.ravel("F")[perm] == X.ravel("F")``
-    reversed — concretely ``vec(X.T) = vec(X)[perm]`` where ``vec`` stacks
-    columns. Apply with fancy indexing; compose the (q, n) map to invert.
-    """
-    if n < 1 or q < 1:
-        raise StructureError(f"matrix dimensions must be >= 1, got ({n}, {q})")
-    return np.arange(n * q).reshape(q, n).T.ravel()

@@ -176,6 +176,29 @@ def write_blocks_csv(path, blocks: Sequence[ForecastBlock]) -> None:
                 )
 
 
+def _row_key(
+    path, lineno: int, row: list[str], seen: dict[str, set]
+) -> tuple[str, str]:
+    """The (origin, series) key of a data row, recorded in ``seen``; a short
+    row or a key seen before is an error naming the line."""
+    if len(row) < 2:
+        raise ValidationError(f"{path}:{lineno}: expected origin,series,values...")
+    origin, series = row[0], row[1]
+    if series in seen.setdefault(origin, set()):
+        raise ValidationError(
+            f"{path}:{lineno}: duplicate row for origin {origin!r}, series {series!r}"
+        )
+    seen[origin].add(series)
+    return origin, series
+
+
+def _numbers(path, lineno: int, cells: list[str]) -> list[float]:
+    try:
+        return [float(v) for v in cells]
+    except ValueError as exc:
+        raise ValidationError(f"{path}:{lineno}: bad number: {exc}")
+
+
 def read_blocks_csv(path, ct: CrossTemporalStructure) -> list[ForecastBlock]:
     """Read the wide format back into per-origin blocks, sorted by origin."""
     expected = position_labels(ct.te)
@@ -194,7 +217,7 @@ def read_blocks_csv(path, ct: CrossTemporalStructure) -> list[ForecastBlock]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            origin, series = row[0], row[1]
+            origin, series = _row_key(path, lineno, row, seen)
             if series not in index:
                 raise ValidationError(f"{path}:{lineno}: unknown series {series!r}")
             if len(row) != len(expected) + 2:
@@ -205,11 +228,7 @@ def read_blocks_csv(path, ct: CrossTemporalStructure) -> list[ForecastBlock]:
             block = per_origin.setdefault(
                 origin, np.full((ct.n_series, ct.n_positions), np.nan)
             )
-            try:
-                block[index[series]] = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad number: {exc}")
-            seen.setdefault(origin, set()).add(series)
+            block[index[series]] = _numbers(path, lineno, row[2:])
     blocks = []
     for origin in sorted(per_origin):
         missing = set(ct.cs.labels) - seen[origin]
@@ -259,6 +278,7 @@ def read_history_csv(path, ct: CrossTemporalStructure) -> dict[str, np.ndarray]:
     bottoms = ct.cs.labels[ct.cs.n_upper :]
     index = {label: i for i, label in enumerate(bottoms)}
     out: dict[str, np.ndarray] = {}
+    seen: dict[str, set] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -272,11 +292,16 @@ def read_history_csv(path, ct: CrossTemporalStructure) -> dict[str, np.ndarray]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            origin, series = row[0], row[1]
+            origin, series = _row_key(path, lineno, row, seen)
             if series not in index:
                 raise ValidationError(f"{path}:{lineno}: unknown bottom series {series!r}")
+            if len(row) != width + 2:
+                raise ValidationError(
+                    f"{path}:{lineno}: series {series!r} has {len(row) - 2} values, "
+                    f"expected {width}"
+                )
             hist = out.setdefault(origin, np.full((len(bottoms), width), np.nan))
-            hist[index[series]] = [float(v) for v in row[2:]]
+            hist[index[series]] = _numbers(path, lineno, row[2:])
     for origin, hist in out.items():
         if np.isnan(hist).any():
             raise ValidationError(f"{path}: origin {origin}: incomplete history")

@@ -2,16 +2,19 @@
 
 Both forms realize the same oblique projection onto the coherent subspace;
 which is cheaper depends on whether the summing map or the constraint set
-is smaller. Operators keep their matrices factored — nothing is ever
-inverted explicitly — and expose a matrix-free ``apply``. Dense
-materialization exists for test oracles and debugging only.
+is smaller. ``structural_projector`` and ``zero_projector`` build one
+operator over a whole vector; ``batched_projector`` projects many short
+vectors at once, each under its own diagonal weight, and picks the smaller
+form itself. Operators keep their matrices factored — nothing is ever
+inverted explicitly. Dense materialization exists for test oracles and
+debugging only.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from itertools import cycle
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -60,12 +63,18 @@ def _raise_singular(A: np.ndarray, context: str, rcond: float):
 
 
 def sym_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor a symmetric matrix, preferring Cholesky.
+    """Factor a symmetric matrix, or a (b, r, r) stack of them, preferring Cholesky.
 
     Falls back to a pivoted LU when the matrix misses positive definiteness
     by less than PIVOT_FALLBACK_TOL (near-singular variance-scaled systems);
     raises otherwise, with a condition estimate and rank deficiency count.
+    A stack is factored by one batched Cholesky, every member is vetted on
+    its own, and the solve takes a (b, r, s) right-hand side (a stack of one
+    matrix solves every member of it). When the batch fails, each member is
+    factored alone with the checks above.
     """
+    if A.ndim == 3:
+        return _stack_solver(A, context)
     try:
         c = sla.cho_factor(A, check_finite=False)
     except sla.LinAlgError:
@@ -87,6 +96,26 @@ def sym_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray
     return lambda b: sla.cho_solve(c, b, check_finite=False)
 
 
+def _stack_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray]:
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        solves = [sym_solver(a, f"{context} (column {j})") for j, a in enumerate(A)]
+        return lambda b: np.stack([solve(bj) for solve, bj in zip(cycle(solves), b)])
+    # Lᵀ slices are Fortran-ordered views, which LAPACK takes without a copy
+    U = L.transpose(0, 2, 1)
+    pocon, potrs = sla.get_lapack_funcs(("pocon", "potrs"), (A,))
+    for j, (Uj, norm) in enumerate(zip(U, np.abs(A).sum(axis=1).max(axis=1))):
+        rcond, _ = pocon(Uj, norm, uplo=b"U")
+        if rcond < RCOND_FLOOR:
+            _raise_singular(A[j], f"{context} (column {j})", float(rcond))
+    # a one-matrix stack serves every right-hand side; one column at a time
+    # keeps each triangular solve small
+    return lambda b: np.stack(
+        [potrs(Uj, bj, lower=0)[0] for Uj, bj in zip(cycle(U), b)]
+    )
+
+
 def _gram_solver(G, context: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor a (possibly sparse) Gram matrix once and return its solve."""
     r = G.shape[0]
@@ -106,13 +135,10 @@ class Projector:
     """An oblique projection onto a coherent subspace, applied matrix-free.
 
     Idempotent up to round-off; fixes every already-coherent vector; its
-    range satisfies the framework's zero constraints.
+    range satisfies the zero constraints.
     """
 
-    kind: str
-    framework: str
     dim: int
-    sigma_ref: str
     _apply: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -131,18 +157,8 @@ class Projector:
             )
         return self._apply(np.eye(self.dim))
 
-    def dump_csv(self, path) -> None:
-        """Write the materialized operator to CSV for debugging."""
-        M = self.dense()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in M:
-                writer.writerow([repr(float(v)) for v in row])
 
-
-def structural_projector(
-    K, sigma, framework: str = "ct", sigma_ref: str = "custom"
-) -> Projector:
+def structural_projector(K, sigma) -> Projector:
     """Projection built from a summing map: K (Kᵀ Σ⁻¹ K)⁻¹ Kᵀ Σ⁻¹.
 
     Args:
@@ -175,29 +191,16 @@ def structural_projector(
             raise ValidationError(
                 f"covariance dimension {S.shape[0]} != operator rows {Kd.shape[0]}"
             )
-        try:
-            c = sla.cho_factor(S, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"covariance Cholesky failed: {exc}")
-        B = sla.cho_solve(c, Kd, check_finite=False)  # Σ⁻¹ K
-        G = Kd.T @ B
-        solve = sym_solver(G, "structural Gram matrix")
+        B = sym_solver(S, "covariance")(Kd)  # Σ⁻¹ K
+        solve = sym_solver(Kd.T @ B, "structural Gram matrix")
 
         def apply(x):
             return Kd @ solve(B.T @ x)
 
-    return Projector(
-        kind="structural",
-        framework=framework,
-        dim=K.shape[0],
-        sigma_ref=sigma_ref,
-        _apply=apply,
-    )
+    return Projector(dim=K.shape[0], _apply=apply)
 
 
-def zero_projector(
-    H, sigma, framework: str = "ct", sigma_ref: str = "custom"
-) -> Projector:
+def zero_projector(H, sigma) -> Projector:
     """Projection built from zero constraints: I − Σ Hᵀ (H Σ Hᵀ)⁻¹ H.
 
     H must have full row rank; a rank-deficient constraint Gram raises with
@@ -207,13 +210,7 @@ def zero_projector(
     Hs = sp.csr_matrix(H)
     dim = Hs.shape[1]
     if Hs.shape[0] == 0:  # no constraints: everything is already coherent
-        return Projector(
-            kind="zero_constrained",
-            framework=framework,
-            dim=dim,
-            sigma_ref=sigma_ref,
-            _apply=lambda x: np.asarray(x, dtype=float).copy(),
-        )
+        return Projector(dim=dim, _apply=lambda x: np.asarray(x, dtype=float).copy())
     if diag is not None:
         if diag.shape[0] != dim:
             raise ValidationError(
@@ -240,61 +237,58 @@ def zero_projector(
         def apply(x):
             return x - S @ (Hs.T @ solve(Hs @ x))
 
-    return Projector(
-        kind="zero_constrained",
-        framework=framework,
-        dim=dim,
-        sigma_ref=sigma_ref,
-        _apply=apply,
-    )
+    return Projector(dim=dim, _apply=apply)
 
 
-def oblique_matrix(S, weight) -> np.ndarray:
-    """Small dense oblique projection S (Sᵀ W⁻¹ S)⁻¹ Sᵀ W⁻¹.
+def batched_projector(
+    structure: CrossSectionalStructure | TemporalStructure, weights: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Project every column of an (r, b) array under its own diagonal weight.
 
-    ``weight`` is either the diagonal of W (1-d) or a dense symmetric
-    positive definite W (2-d). Used per temporal position (cross-sectional
-    step) or per series (temporal step), and by the averaging heuristic.
+    Column j maps to S (Sᵀ W⁻¹ S)⁻¹ Sᵀ W⁻¹ x = x − W Hᵀ (H W Hᵀ)⁻¹ H x with
+    W = diag(weights[:, j]), S the structure's summing matrix and H its
+    zero constraints. All b Gram matrices are factored once, as one stack,
+    in the smaller form: constraint (k × k) when the k constraints are
+    fewer than the c free series, structural (c × c) otherwise; a weight
+    shared by every column (constant weights) needs only one. The returned
+    function also takes an (r, b, s) array: s vectors per column, all
+    projected under that column's weight.
     """
-    S = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
-    w = np.asarray(weight, dtype=float)
-    if w.ndim == 1:
-        if np.any(w <= 0):
-            raise NotPositiveDefiniteError("diagonal weights must be positive")
-        A = S / w[:, None]
+    S = structure.summing_dense
+    H = structure.constraint_dense
+    W = np.asarray(weights, dtype=float)
+    if W.ndim != 2 or W.shape[0] != S.shape[0]:
+        raise ValidationError(f"weights of shape {W.shape} need {S.shape[0]} rows")
+    if not np.all(np.isfinite(W)) or np.any(W <= 0):
+        raise ValidationError("weights must be positive and finite")
+    if H.shape[0] == 0:  # no constraints: everything is already coherent
+        return lambda X: np.array(X, dtype=float)
+    if np.all(W == W[:, :1]):  # one weight shared by every column: one Gram
+        W = W[:, :1]
+    if H.shape[0] < S.shape[1]:
+        solve = sym_solver(_grams(H, W), "constraint Gram matrix")
+
+        def project(X):  # X is (r, b, s)
+            lam = solve(np.moveaxis(np.tensordot(H, X, 1), 1, 0))
+            return X - W[:, :, None] * np.tensordot(H.T, np.moveaxis(lam, 0, 1), 1)
+
     else:
-        try:
-            c = sla.cho_factor(w, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"weight Cholesky failed: {exc}")
-        A = sla.cho_solve(c, S, check_finite=False)
-    solve = sym_solver(S.T @ A, "projection Gram matrix")
-    return S @ solve(A.T)
+        solve = sym_solver(_grams(S.T, 1.0 / W), "structural Gram matrix")
+
+        def project(X):
+            beta = solve(np.moveaxis(np.tensordot(S.T, X / W[:, :, None], 1), 1, 0))
+            return np.tensordot(S, np.moveaxis(beta, 0, 1), 1)
+
+    def apply(X):
+        X = np.asarray(X, dtype=float)
+        return project(X.reshape(X.shape[0], X.shape[1], -1)).reshape(X.shape)
+
+    return apply
 
 
-def averaged_cs_projector(
-    cs: CrossSectionalStructure, weights_by_order: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """Mean of the per-order cross-sectional projection matrices.
-
-    One (n, n) projection per temporal aggregation order, averaged with
-    equal weights; the result is applied blockwise across temporal
-    positions and is generally no longer idempotent.
-    """
-    if not weights_by_order:
-        raise ValidationError("no per-order weights given")
-    S = cs.summing_dense
-    mats = [oblique_matrix(S, w) for w in weights_by_order.values()]
-    return sum(mats) / len(mats)
-
-
-def averaged_te_projector(
-    te: TemporalStructure, omegas_by_series: Sequence[np.ndarray] | np.ndarray
-) -> np.ndarray:
-    """Mean of the per-series temporal projection matrices (mirror of the above)."""
-    omegas = list(omegas_by_series)
-    if not omegas:
-        raise ValidationError("no per-series weights given")
-    S = te.summing_dense
-    mats = [oblique_matrix(S, w) for w in omegas]
-    return sum(mats) / len(mats)
+def _grams(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The (b, g, g) stack M diag(W[:, j]) Mᵀ for every column j of W, as one
+    matrix product over the outer products of M's columns."""
+    g, r = M.shape
+    outer = (M.T[:, :, None] * M.T[:, None, :]).reshape(r, g * g)
+    return (W.T @ outer).reshape(-1, g, g)

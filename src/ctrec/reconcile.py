@@ -10,38 +10,43 @@ the temporal-grid subspace. One-shot methods do one of these (or the
 combined projection); the sequential, averaged and alternating heuristics
 compose them. All of them leave the inputs untouched and are safe to run
 concurrently over origins.
+
+Every strategy takes its weights as one (n, q) table mirroring a forecast
+block: a named diagonal covariance, or any array of n·q positive entries in
+series-major order. The cross-sectional step reads the table's columns, the
+temporal step its rows.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .covariance import DiagonalSigma
 from .errors import ValidationError
-from .hierarchy import CrossTemporalStructure
+from .hierarchy import (
+    CrossSectionalStructure,
+    CrossTemporalStructure,
+    TemporalStructure,
+)
 from .projection import (
+    DENSE_SOLVE_CUTOFF,
     Projector,
-    averaged_cs_projector,
-    averaged_te_projector,
+    batched_projector,
     structural_projector,
-    sym_solver,
+    sym_solver,  # noqa: F401 - unused here; perfbench/child.py patches this name
     zero_projector,
 )
 
 ITERATIVE_DEFAULT_DELTA = 1e-6
 ITERATIVE_DEFAULT_MAX_ITER = 100
 STOP_CRITERIA = ("fixed_point", "frobenius", "incoherence")
-
-# Below this vector length the combined projection is solved densely.
-_DENSE_OCT_CUTOFF = 600
 
 
 @dataclass(frozen=True)
@@ -141,8 +146,6 @@ def frobenius_gap(a, b) -> float:
 def _sigma_name(sigma) -> str:
     if isinstance(sigma, DiagonalSigma):
         return sigma.name
-    if isinstance(sigma, Mapping):
-        return "per-order"
     return "custom"
 
 
@@ -154,154 +157,55 @@ def _sigma_flags(*sigmas) -> tuple[str, ...]:
     )
 
 
-def _column_projector(S: np.ndarray, weight) -> Callable[[np.ndarray], np.ndarray]:
-    """Projector onto span(S) under a diagonal or dense weight, for column batches."""
-    w = np.asarray(weight, dtype=float)
-    if w.ndim == 1:
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be positive and finite")
-        A = S / w[:, None]
-    else:
-        c = sla.cho_factor(w, check_finite=False)
-        A = sla.cho_solve(c, S, check_finite=False)
-    solve = sym_solver(S.T @ A, "projection Gram matrix")
-    return lambda cols: S @ solve(A.T @ cols)
+def _cells(ct: CrossTemporalStructure, sigma) -> np.ndarray:
+    """A strategy's weights as one (n, q) table mirroring a forecast block.
 
-
-def _cs_applier(
-    ct: CrossTemporalStructure, sigma
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Build the cross-sectional step: project every column of a block.
-
-    Accepts a named diagonal covariance, a per-order mapping {order: weight}
-    (weights are length-n diagonals or dense (n, n) matrices), a constant
-    weight shared by all positions, or an (n, q) array of per-position
-    diagonals.
+    ``sigma`` is a named diagonal covariance or any array of n·q entries,
+    read in series-major order (the canonical vector layout).
     """
-    S = ct.cs.summing_dense
-    n, q = ct.n_series, ct.n_positions
-
-    def per_position(cells):
-        patterns, inverse = np.unique(cells, axis=1, return_inverse=True)
-        groups = [
-            (np.flatnonzero(inverse == g), _column_projector(S, patterns[:, g]))
-            for g in range(patterns.shape[1])
-        ]
-
-        def apply(X):
-            out = np.empty_like(X, dtype=float)
-            for cols, project in groups:
-                out[:, cols] = project(X[:, cols])
-            return out
-
-        return apply
-
     if isinstance(sigma, DiagonalSigma):
         if sigma.structure.dim != ct.dim:
             raise ValidationError("covariance built for a different structure")
-        return per_position(sigma.cells())
-
-    if isinstance(sigma, Mapping):
-        missing = set(ct.te.orders) - set(sigma)
-        if missing:
-            raise ValidationError(f"per-order weights missing orders {sorted(missing)}")
-        steps = [
-            (ct.te.order_slice(k), _column_projector(S, sigma[k]))
-            for k in ct.te.orders
-        ]
-
-        def apply(X):
-            out = np.empty_like(X, dtype=float)
-            for cols, project in steps:
-                out[:, cols] = project(X[:, cols])
-            return out
-
-        return apply
-
+        return sigma.cells()
     w = np.asarray(sigma, dtype=float)
-    # (n, q) is always read as a per-position diagonal table; when q == n a
-    # dense shared weight must come through a per-order mapping instead
-    if w.shape == (n, q):
-        return per_position(w)
-    if w.shape in ((n,), (n, n)):
-        project = _column_projector(S, w)
-        return lambda X: project(X)
-    raise ValidationError(
-        f"cross-sectional weights of shape {w.shape} do not match n={n}, q={q}"
-    )
+    if w.size != ct.dim:
+        raise ValidationError(
+            f"weights of shape {w.shape} do not hold one entry per cell of "
+            f"the {ct.n_series}x{ct.n_positions} block"
+        )
+    return w.reshape(ct.n_series, ct.n_positions)
 
 
-def _te_applier(
-    ct: CrossTemporalStructure, sigma
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Build the temporal step: project every row of a block.
+def _cs_step(ct: CrossTemporalStructure, sigma) -> Callable[[np.ndarray], np.ndarray]:
+    """The cross-sectional step: project every column (temporal position) of
+    a block under that column of the weight table."""
+    return batched_projector(ct.cs, _cells(ct, sigma))
 
-    Accepts a named diagonal covariance, a constant weight shared by all
-    series (length-q diagonal or dense (q, q)), an (n, q) array of
-    per-series diagonals, or a sequence of n per-series weights.
-    """
-    S = ct.te.summing_dense
-    n, q = ct.n_series, ct.n_positions
 
-    def per_series(rows):
-        patterns, inverse = np.unique(rows, axis=0, return_inverse=True)
-        groups = [
-            (np.flatnonzero(inverse == g), _column_projector(S, patterns[g]))
-            for g in range(patterns.shape[0])
-        ]
+def _te_step(ct: CrossTemporalStructure, sigma) -> Callable[[np.ndarray], np.ndarray]:
+    """The temporal step: project every row (series) of a block under that
+    row of the weight table."""
+    project = batched_projector(ct.te, _cells(ct, sigma).T)
+    return lambda X: project(X.T).T
 
-        def apply(X):
-            out = np.empty_like(X, dtype=float)
-            for idx, project in groups:
-                out[idx, :] = project(X[idx, :].T).T
-            return out
 
-        return apply
-
-    if isinstance(sigma, DiagonalSigma):
-        if sigma.structure.dim != ct.dim:
-            raise ValidationError("covariance built for a different structure")
-        return per_series(sigma.per_series())
-
-    sigma = np.asarray(sigma, dtype=float) if isinstance(sigma, np.ndarray) else sigma
-    # (n, q) is always read as a per-series diagonal table; when n == q a
-    # dense shared weight must come through a per-series sequence instead
-    if isinstance(sigma, np.ndarray) and sigma.shape == (n, q):
-        return per_series(sigma)
-
-    if isinstance(sigma, np.ndarray) and sigma.shape in ((q,), (q, q)):
-        project = _column_projector(S, sigma)
-        return lambda X: project(X.T).T
-
-    if isinstance(sigma, Sequence) or (
-        isinstance(sigma, np.ndarray) and sigma.ndim == 3
-    ):
-        projections = [_column_projector(S, w) for w in sigma]
-        if len(projections) != n:
-            raise ValidationError(f"{len(projections)} per-series weights for {n} series")
-
-        def apply(X):
-            out = np.empty_like(X, dtype=float)
-            for i, project in enumerate(projections):
-                out[i, :] = project(X[i, :, None])[:, 0]
-            return out
-
-        return apply
-    shape = getattr(sigma, "shape", None)
-    raise ValidationError(f"temporal weights of shape {shape} do not match n={n}, q={q}")
+def _mean_projection(
+    structure: CrossSectionalStructure | TemporalStructure, weights: np.ndarray
+) -> np.ndarray:
+    """Mean of the projection matrices under each column of ``weights``."""
+    r, b = weights.shape
+    eye = np.broadcast_to(np.eye(r)[:, None, :], (r, b, r))
+    return batched_projector(structure, weights)(eye).mean(axis=1)
 
 
 def _oct_projector(ct: CrossTemporalStructure, sigma) -> Projector:
-    """One-shot combined projector; sparse constraint form for diagonals."""
-    name = _sigma_name(sigma)
-    diag = sigma.diag if isinstance(sigma, DiagonalSigma) else np.asarray(sigma, float)
-    if diag.ndim == 2:
-        return structural_projector(ct.full_summing("ct"), diag, "ct", name)
-    if diag.shape != (ct.dim,):
-        raise ValidationError(f"covariance length {diag.shape} != ({ct.dim},)")
-    if ct.dim <= _DENSE_OCT_CUTOFF:
-        return structural_projector(ct.full_summing("ct"), diag, "ct", name)
-    return zero_projector(ct.full_constraint("ct"), diag, "ct", name)
+    """One-shot combined projector: structural form for small blocks,
+    constraint form otherwise (never the batched kernel's size rule: the
+    combined constraint Gram is sparse)."""
+    diag = _cells(ct, sigma).ravel()
+    if ct.dim <= DENSE_SOLVE_CUTOFF:
+        return structural_projector(ct.full_summing("ct"), diag)
+    return zero_projector(ct.full_constraint("ct"), diag)
 
 
 def _finish(
@@ -337,7 +241,7 @@ def reconcile_cs(
 ) -> ReconcileReport:
     """Cross-sectionally coherent reconciliation (temporal coherence not enforced)."""
     with _Meter(measure_memory) as meter:
-        apply = _cs_applier(block.structure, sigma_cs)
+        apply = _cs_step(block.structure, sigma_cs)
         values = apply(block.values)
         gap = frobenius_gap(values, block.values)
     return _finish(
@@ -351,7 +255,7 @@ def reconcile_te(
 ) -> ReconcileReport:
     """Temporally coherent reconciliation (cross-sectional coherence not enforced)."""
     with _Meter(measure_memory) as meter:
-        apply = _te_applier(block.structure, sigma_te)
+        apply = _te_step(block.structure, sigma_te)
         values = apply(block.values)
         gap = frobenius_gap(values, block.values)
     return _finish(
@@ -389,8 +293,8 @@ def reconcile_seq(
     """
     _check_order(order)
     with _Meter(measure_memory) as meter:
-        cs_step = _cs_applier(block.structure, sigma_cs)
-        te_step = _te_applier(block.structure, sigma_te)
+        cs_step = _cs_step(block.structure, sigma_cs)
+        te_step = _te_step(block.structure, sigma_te)
         if order == "cst":
             values = te_step(cs_step(block.values))
         else:
@@ -405,8 +309,8 @@ def reconcile_seq(
 
 def reconcile_ka(
     block: ForecastBlock,
-    w_by_order,
-    omega_by_series,
+    sigma_cs,
+    sigma_te,
     order: str = "tcs",
     measure_memory: bool = False,
 ) -> ReconcileReport:
@@ -415,41 +319,32 @@ def reconcile_ka(
     matrix and applied blockwise.
 
     "cst" reconciles cross-sectionally, then applies the average of the
-    per-series temporal projections; "tcs" reconciles temporally, then
-    applies the average of the per-order cross-sectional projections. The
-    result's full coherence is verified numerically and flagged if violated.
+    per-series temporal projections (one per row of ``sigma_te``'s table);
+    "tcs" reconciles temporally, then applies the average of the per-order
+    cross-sectional projections (one per order of ``sigma_cs``'s table,
+    which must be constant across each order's positions). The result's
+    full coherence is verified numerically and flagged if violated.
     """
     _check_order(order)
     ct = block.structure
-    if isinstance(w_by_order, DiagonalSigma):
-        w_views = w_by_order.per_order()
-    elif isinstance(w_by_order, Mapping):
-        w_views = dict(w_by_order)
-    else:
+    w, om = _cells(ct, sigma_cs), _cells(ct, sigma_te)
+    starts = [ct.te.order_slice(k).start for k in ct.te.orders]
+    w_by_order = w[:, starts]
+    widths = np.diff(starts + [ct.n_positions])
+    if not np.array_equal(np.repeat(w_by_order, widths, axis=1), w):
         raise ValidationError(
-            "the averaging heuristic needs one cross-sectional weight per "
-            "order: a mapping {order: weight} or a named diagonal covariance"
-        )
-    if isinstance(omega_by_series, DiagonalSigma):
-        omega_views = omega_by_series.per_series()
-    elif isinstance(omega_by_series, (Sequence, np.ndarray)) and np.ndim(omega_by_series) >= 2:
-        omega_views = omega_by_series
-    else:
-        raise ValidationError(
-            "the averaging heuristic needs one temporal weight per series: "
-            "an (n, q) array, a sequence, or a named diagonal covariance"
+            "the averaging heuristic needs one cross-sectional weight per order, "
+            "but the weights vary within an order"
         )
     with _Meter(measure_memory) as meter:
         if order == "cst":
-            cs_step = _cs_applier(ct, w_by_order)
-            m_bar = averaged_te_projector(ct.te, list(omega_views))
-            values = cs_step(block.values) @ m_bar.T
+            m_bar = _mean_projection(ct.te, om.T)
+            values = _cs_step(ct, w)(block.values) @ m_bar.T
         else:
-            te_step = _te_applier(ct, omega_by_series)
-            m_bar = averaged_cs_projector(ct.cs, w_views)
-            values = m_bar @ te_step(block.values)
+            m_bar = _mean_projection(ct.cs, w_by_order)
+            values = m_bar @ _te_step(ct, om)(block.values)
         gap = frobenius_gap(values, block.values)
-    flags = list(_sigma_flags(w_by_order, omega_by_series))
+    flags = list(_sigma_flags(sigma_cs, sigma_te))
     tol = 1e-8 * max(1.0, float(np.abs(values).max()))
     if max(ct.coherence_residuals(values)) > tol:
         flags.append("ka-incoherent")
@@ -497,8 +392,8 @@ def reconcile_iterative(
         raise ValidationError(f"criterion {criterion!r} not in {STOP_CRITERIA}")
     ct = block.structure
     with _Meter(measure_memory) as meter:
-        cs_step = _cs_applier(ct, sigma_cs)
-        te_step = _te_applier(ct, sigma_te)
+        cs_step = _cs_step(ct, sigma_cs)
+        te_step = _te_step(ct, sigma_te)
         first, second = (cs_step, te_step) if order == "cst" else (te_step, cs_step)
 
         previous = block.values

@@ -68,18 +68,18 @@ def check_constant_weight_equivalence(
     for _ in range(instances):
         ct = random_structure(rng, max_series=30, max_upper=8, m_choices=(4, 12, 24))
         block = _noisy_block(rng, ct)
-        w = rng.uniform(0.5, 2.0, size=ct.n_series)
-        om = rng.uniform(0.5, 2.0, size=ct.n_positions)
-        w_by_order = {k: w for k in ct.te.orders}
-        om_by_series = np.tile(om, (ct.n_series, 1))
+        # one weight vector per dimension, spread over the (n, q) cell table
+        n, q = ct.n_series, ct.n_positions
+        w = np.outer(rng.uniform(0.5, 2.0, size=n), np.ones(q))
+        om = np.outer(np.ones(n), rng.uniform(0.5, 2.0, size=q))
         runs = [
             reconcile_seq(block, w, om, order="cst"),
             reconcile_seq(block, w, om, order="tcs"),
-            reconcile_ka(block, w_by_order, om_by_series, order="cst"),
-            reconcile_ka(block, w_by_order, om_by_series, order="tcs"),
+            reconcile_ka(block, w, om, order="cst"),
+            reconcile_ka(block, w, om, order="tcs"),
             reconcile_iterative(block, w, om, order="cst"),
             reconcile_iterative(block, w, om, order="tcs"),
-            reconcile_oct(block, np.kron(w, om)),
+            reconcile_oct(block, w * om),
         ]
         if runs[4].iterations != 1 or runs[5].iterations != 1:
             return CheckResult(
@@ -177,8 +177,8 @@ def check_representation_equivalence(
             Q, _ = np.linalg.qr(rng.normal(size=(ct.dim, ct.dim)))
             sigma = (Q * rng.uniform(0.5, 2.0, size=ct.dim)) @ Q.T
         x = rng.normal(size=ct.dim)
-        a = structural_projector(ct.full_summing(framework), sigma, framework)(x)
-        b = zero_projector(ct.full_constraint(framework), sigma, framework)(x)
+        a = structural_projector(ct.full_summing(framework), sigma)(x)
+        b = zero_projector(ct.full_constraint(framework), sigma)(x)
         worst = max(worst, float(np.linalg.norm(a - b) / np.linalg.norm(x)))
         done += 1
     return CheckResult(
@@ -189,8 +189,14 @@ def check_representation_equivalence(
     )
 
 
+def _mean_dense(K, weights) -> np.ndarray:
+    """Mean of the materialized projections onto span(K), one per weight vector."""
+    return np.mean([structural_projector(K, w).dense() for w in weights], axis=0)
+
+
 def check_dense_oracle(seed: int = 0, instances: int = 5, tol: float = 1e-9) -> CheckResult:
-    """Every one-shot method equals its explicitly materialized projection."""
+    """Every one-shot, sequential and averaged method equals its explicitly
+    materialized projection."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
@@ -205,12 +211,25 @@ def check_dense_oracle(seed: int = 0, instances: int = 5, tol: float = 1e-9) -> 
         m_cs = structural_projector(ct.full_summing("cs"), sigma.diag).dense()
         m_te = structural_projector(ct.full_summing("te"), sigma.diag).dense()
         m_ct = structural_projector(ct.full_summing("ct"), sigma.diag).dense()
+        cells = sigma.cells()
+        starts = [ct.te.order_slice(k).start for k in ct.te.orders]
+        m_te_bar = _mean_dense(ct.te.summing(), cells)
+        m_cs_bar = _mean_dense(ct.cs.summing(), cells[:, starts].T)
+        eye_n, eye_q = np.eye(ct.n_series), np.eye(ct.n_positions)
         pairs = [
             (reconcile_cs(block, sigma), m_cs @ x),
             (reconcile_te(block, sigma), m_te @ x),
             (reconcile_oct(block, sigma), m_ct @ x),
             (reconcile_seq(block, sigma, sigma, order="cst"), m_te @ (m_cs @ x)),
             (reconcile_seq(block, sigma, sigma, order="tcs"), m_cs @ (m_te @ x)),
+            (
+                reconcile_ka(block, sigma, sigma, order="cst"),
+                np.kron(eye_n, m_te_bar) @ (m_cs @ x),
+            ),
+            (
+                reconcile_ka(block, sigma, sigma, order="tcs"),
+                np.kron(m_cs_bar, eye_q) @ (m_te @ x),
+            ),
         ]
         for run, expected in pairs:
             worst = max(worst, float(np.linalg.norm(run.block.vector - expected)) / scale)

@@ -12,7 +12,7 @@ import numpy as np
 from ctrec.cli import main as cli_main
 from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
 from ctrec.evaluate import EvalFrame, mcb_nemenyi, nrmse
-from ctrec.projection import averaged_te_projector, structural_projector
+from ctrec.projection import structural_projector
 from ctrec.reconcile import (
     ForecastBlock,
     reconcile_iterative,
@@ -77,7 +77,10 @@ def test_criterion_5_dense_oracle_equivalence():
     res = ResidualSet(rng.normal(size=(12, ct.n_series, ct.n_positions)))
     sigma = sigma_wlsv(ct, res)
     m_cs_full = structural_projector(ct.full_summing("cs"), sigma.diag).dense()
-    m_te_bar = averaged_te_projector(ct.te, list(sigma.per_series()))
+    m_te_bar = np.mean(
+        [structural_projector(ct.te.summing(), row).dense() for row in sigma.cells()],
+        axis=0,
+    )
     dense = np.kron(np.eye(ct.n_series), m_te_bar) @ m_cs_full
     run = reconcile_ka(block, sigma, sigma, order="cst")
     gap = np.linalg.norm(run.block.vector - dense @ block.vector)
@@ -105,8 +108,7 @@ def test_criterion_7_performance_trend():
     start = time.perf_counter()
     ct = pv324_structure()  # 324 series, hourly grid: the benchmark shape
     data = simulate_dataset(ct, n_origins=3, n_residual_origins=20, noise_sd=0.5, seed=5)
-    w = np.ones(ct.n_series)
-    om = np.ones(ct.n_positions)
+    w = om = np.ones((ct.n_series, ct.n_positions))
     sigma = sigma_wlsv(ct, data.residuals)
     single, multi = [], []
     for block in data.bases:

@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ctrec
 from ctrec.cli import main
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.io import read_blocks_csv, read_hierarchy_file, read_reports_jsonl
@@ -150,6 +156,31 @@ def test_reconcile_validation_exit_codes(workdir):
     assert code == 2
 
 
+def test_reconcile_malformed_rows_exit_2_with_file_and_line(workdir, capsys):
+    sim = simulate(workdir)
+    lines = (sim / "base.csv").read_text().splitlines()
+    dup = workdir / "dup.csv"
+    dup.write_text("\n".join(lines + [lines[1]]) + "\n")
+    code = run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", dup,
+         "--method", "oct", "--out", workdir / "x"]
+    )
+    assert code == 2
+    assert f"dup.csv:{len(lines) + 1}:" in capsys.readouterr().err
+
+    hist_lines = (sim / "history.csv").read_text().splitlines()
+    first = hist_lines[1].split(",")
+    hist_lines[1] = ",".join(first[:2] + ["n/a"] + first[3:])
+    bad_hist = workdir / "hist.csv"
+    bad_hist.write_text("\n".join(hist_lines) + "\n")
+    code = run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", "pers-bu", "--history", bad_hist, "--out", workdir / "y"]
+    )
+    assert code == 2
+    assert "hist.csv:2:" in capsys.readouterr().err
+
+
 def test_reconcile_non_convergence_exit_code_and_outputs(workdir):
     sim = simulate(workdir)
     out = workdir / "out-nc"
@@ -257,3 +288,18 @@ def test_bench_command_smoke(workdir, capsys):
     assert (out / "perf.csv").exists()
     captured = capsys.readouterr().out
     assert "ite-tcs[ols]" in captured
+    # every reconcile method is benchmarked through the same dispatch
+    assert run(
+        ["bench", "--hierarchy", workdir / "hier.txt", "--reps", 2,
+         "--methods", "cs,seq-cst,ka-tcs,bu", "--covs", "wlsv", "--out", out]
+    ) == 0
+    captured = capsys.readouterr().out
+    for name in ("cs[wlsv]", "seq-cst[wlsv]", "ka-tcs[wlsv]", "bu[wlsv]"):
+        assert name in captured
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time and only the rank test needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(ctrec.__file__).parents[1]))
+    code = "import sys, ctrec.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -11,7 +11,7 @@ from ctrec.covariance import (
     sigma_wlsv,
 )
 from ctrec.errors import ValidationError
-from ctrec.hierarchy import build_cs, build_ct, build_te, commutation
+from ctrec.hierarchy import build_cs, build_ct, build_te
 from helpers import random_agg, toy_ct
 
 
@@ -20,9 +20,8 @@ def test_sigma_ols_is_identity():
     sig = sigma_ols(ct)
     assert sig.diag.shape == (9,)
     assert np.array_equal(sig.diag, np.ones(9))
-    # per-order and per-series views are all ones too
-    assert all(np.array_equal(w, np.ones(3)) for w in sig.per_order().values())
-    assert np.array_equal(sig.per_series(), np.ones((3, 3)))
+    # so is its cell table
+    assert np.array_equal(sig.cells(), np.ones((3, 3)))
 
 
 def test_sigma_str_row_sums():
@@ -77,24 +76,23 @@ def test_wlsv_zero_cell_floored_and_flagged():
 
 
 def test_wlsv_frameworks_coincide_through_layout():
-    # the ct diagonal, the per-order cross-sectional view, and the per-series
-    # temporal view describe one object, linked by the layout permutation
+    # the ct diagonal, the per-order cross-sectional weights, and the
+    # per-series temporal weights describe one object: the cell table
     rng = np.random.default_rng(4)
     ct = build_ct(build_cs(random_agg(rng, 1, 2)), build_te([2, 1]))
     res = ResidualSet(rng.normal(size=(5, 3, 3)))
     sig = sigma_wlsv(ct, res)
-    q, n = ct.n_positions, ct.n_series
 
-    # per-series rows are literal rows of the cell table
-    assert np.array_equal(sig.per_series(), sig.cells())
+    # the cell table is the diagonal in block shape: row i holds series i
+    assert np.array_equal(sig.cells().ravel(), sig.diag)
 
-    # position-major diagonal: one per-order W block per canonical position
-    w = sig.per_order()
+    # position-major diagonal: one per-order W block per canonical position,
+    # each order's weights read off the table at its first position
+    w = {k: sig.cells()[:, ct.te.order_slice(k).start] for k in ct.te.orders}
     position_major = np.concatenate(
         [w[k] for k in ct.te.orders for _ in range(ct.te.m // k)]
     )
-    perm = commutation(n, q)
-    assert np.allclose(position_major[perm], sig.diag)
+    assert np.allclose(position_major, sig.cells().T.ravel())
 
 
 def test_residual_set_validation():
@@ -132,16 +130,17 @@ def test_covariance_spec_dispatch():
     with pytest.raises(ValidationError):
         CovarianceSpec("mint")
     with pytest.raises(ValidationError):
-        CovarianceSpec("wlsv", framework="vertical")
-    with pytest.raises(ValidationError):
         CovarianceSpec("wlsv").build(ct)  # missing residuals
 
 
 def test_per_order_view_rejects_position_varying_diagonal():
     from ctrec.covariance import DiagonalSigma
+    from ctrec.reconcile import ForecastBlock, reconcile_ka
 
     ct = toy_ct()
     diag = np.arange(1.0, 10.0)
     sig = DiagonalSigma(ct, diag, name="custom")
-    with pytest.raises(ValidationError):
-        sig.per_order()
+    block = ForecastBlock(np.ones((3, 3)), ct)
+    # the averaging heuristic reads one cross-sectional weight per order
+    with pytest.raises(ValidationError, match="per order"):
+        reconcile_ka(block, sig, sig, order="tcs")

@@ -1,0 +1,27 @@
+"""Smoke test: every quick demo runs to completion against the current API.
+
+The 324-series benchmark demo (06) takes too long for the suite and is run
+by hand.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted(
+    p
+    for p in (Path(__file__).resolve().parents[1] / "demos").glob("0*.py")
+    if not p.name.startswith("06_")
+)
+
+
+def test_demo_set_is_complete():
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # demos may write their CSVs to the working dir
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctrec.errors import StructureError
-from ctrec.hierarchy import build_cs, build_ct, build_te, commutation
+from ctrec.hierarchy import build_cs, build_ct, build_te
 
 
 def toy_ct(orders=(2, 1)):
@@ -215,28 +215,3 @@ def test_bottom_up_round_trip_and_coherence():
     # aggregates are plain sums
     assert np.isclose(X[0, 0], bottom.sum())
 
-
-# -- commutation ---------------------------------------------------------
-
-
-def test_commutation_identity_for_scalar():
-    assert np.array_equal(commutation(1, 1), [0])
-
-
-def test_commutation_hand_example():
-    # X = [[1,2,3],[4,5,6]]: column-major vec is (1,4,2,5,3,6); the map
-    # must deliver the row-major order (1,2,3,4,5,6)
-    X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    vec = X.ravel(order="F")
-    perm = commutation(2, 3)
-    assert np.array_equal(vec[perm], [1, 2, 3, 4, 5, 6])
-
-
-def test_commutation_inverse_pair():
-    rng = np.random.default_rng(5)
-    for n, q in [(2, 3), (4, 7), (5, 5), (1, 6)]:
-        forward = commutation(n, q)
-        backward = commutation(q, n)
-        assert np.array_equal(forward[backward], np.arange(n * q))
-        X = rng.normal(size=(n, q))
-        assert np.array_equal(X.ravel(order="F")[forward], X.T.ravel(order="F"))

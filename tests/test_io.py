@@ -126,6 +126,20 @@ def test_blocks_csv_errors_name_offender(tmp_path):
         read_blocks_csv(path, ct)
 
 
+def test_blocks_csv_rejects_duplicate_row_with_line(tmp_path):
+    ct = toy_ct((2, 1))
+    path = tmp_path / "dup.csv"
+    path.write_text(
+        "origin,series,k2_1,k1_1,k1_2\n"
+        "0,u1,2,1,1\n0,b1,1,0.5,0.5\n0,b2,1,0.5,0.5\n0,b1,9,9,9\n"
+    )
+    with pytest.raises(ValidationError, match=r"dup\.csv:5: .*duplicate"):
+        read_blocks_csv(path, ct)
+    path.write_text("origin,series,k2_1,k1_1,k1_2\n0\n")
+    with pytest.raises(ValidationError, match=r"dup\.csv:2"):
+        read_blocks_csv(path, ct)
+
+
 def test_residuals_csv_round_trip(tmp_path):
     ct = toy_ct((2, 1))
     rng = np.random.default_rng(1)
@@ -145,6 +159,21 @@ def test_history_csv_round_trip(tmp_path):
     back = read_history_csv(path, ct)
     assert np.array_equal(back["0000"], histories[0])
     assert np.array_equal(back["0001"], histories[1])
+
+
+def test_history_csv_malformed_rows_name_line(tmp_path):
+    ct = toy_ct((2, 1))
+    path = tmp_path / "hist.csv"
+    header = "origin,series,h1,h2\n"
+    path.write_text(header + "0,b1,1.0,2.0\n0,b2,1.0,oops\n")
+    with pytest.raises(ValidationError, match=r"hist\.csv:3: .*oops"):
+        read_history_csv(path, ct)
+    path.write_text(header + "0,b1,1.0,2.0\n0,b2,1.0\n")
+    with pytest.raises(ValidationError, match=r"hist\.csv:3"):
+        read_history_csv(path, ct)
+    path.write_text(header + "0,b1,1.0,2.0\n0,b2,1.0,2.0\n0,b1,3.0,4.0\n")
+    with pytest.raises(ValidationError, match=r"hist\.csv:4: .*duplicate"):
+        read_history_csv(path, ct)
 
 
 def test_reports_jsonl_round_trip_and_timings_toggle(tmp_path):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import ctrec.projection as projection
 from ctrec.errors import NotPositiveDefiniteError, SingularSystemError
+from ctrec.hierarchy import build_cs, build_te
 from ctrec.projection import (
-    averaged_cs_projector,
-    averaged_te_projector,
-    oblique_matrix,
+    batched_projector,
     structural_projector,
+    sym_solver,
     zero_projector,
 )
-from helpers import random_spd, random_structure, toy_cs, toy_ct
+from ctrec.reconcile import _mean_projection
+from helpers import random_agg, random_spd, random_structure, toy_cs, toy_ct
 
 S3 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 H3 = np.array([[1.0, -1.0, -1.0]])
@@ -80,8 +82,8 @@ def test_structural_and_zero_forms_agree(framework, seed):
     H = ct.full_constraint(framework)
     for sigma in (rng.uniform(0.5, 2.0, size=ct.dim), random_spd(rng, ct.dim)):
         x = rng.normal(size=ct.dim)
-        a = structural_projector(K, sigma, framework)(x)
-        b = zero_projector(H, sigma, framework)(x)
+        a = structural_projector(K, sigma)(x)
+        b = zero_projector(H, sigma)(x)
         assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(x)
 
 
@@ -92,7 +94,7 @@ def test_projector_invariants(seed):
     K = ct.full_summing("ct")
     H = ct.full_constraint("ct")
     sigma = rng.uniform(0.5, 2.0, size=ct.dim)
-    proj = structural_projector(K, sigma, "ct")
+    proj = structural_projector(K, sigma)
     x = rng.normal(size=ct.dim)
     y = proj(x)
     # idempotency
@@ -136,14 +138,6 @@ def test_dense_matches_oracle():
     )
 
 
-def test_dense_dump_csv_round_trips(tmp_path):
-    proj = structural_projector(S3, np.ones(3))
-    path = tmp_path / "operator.csv"
-    proj.dump_csv(path)
-    loaded = np.loadtxt(path, delimiter=",")
-    assert np.allclose(loaded, proj.dense(), atol=0)
-
-
 def test_structural_rejects_non_spd_sigma():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
     K = np.array([[1.0], [1.0]])
@@ -167,14 +161,85 @@ def test_zero_rank_deficient_constraints_report_deficiency():
     assert err.value.deficiency == 1
 
 
+# -- batched kernel ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "structure,form",
+    [
+        (build_cs(random_agg(np.random.default_rng(0), 2, 7)), "constraint"),
+        (build_cs(random_agg(np.random.default_rng(1), 6, 3)), "structural"),
+        (build_cs(random_agg(np.random.default_rng(2), 3, 3)), "structural"),
+        (build_te([4, 2, 1]), "constraint"),
+        (build_te([12, 6, 4, 3, 2, 1]), "structural"),
+    ],
+)
+def test_batched_projector_matches_dense_oracle_in_both_forms(
+    structure, form, monkeypatch
+):
+    # fewer constraints than free series picks the constraint Gram, else the
+    # structural one; either way every column matches its own dense projection
+    gram_sizes = []
+
+    def recording_solver(A, context):
+        gram_sizes.append(A.shape)
+        return sym_solver(A, context)
+
+    monkeypatch.setattr(projection, "sym_solver", recording_solver)
+    rng = np.random.default_rng(3)
+    S = structure.summing()
+    r, c = S.shape
+    W = rng.uniform(0.2, 5.0, size=(r, 9))
+    X = rng.normal(size=(r, 9)) * 10
+    out = batched_projector(structure, W)(X)
+    assert gram_sizes == [(9, r - c, r - c) if form == "constraint" else (9, c, c)]
+    for j in range(9):
+        expected = structural_projector(S, W[:, j]).dense() @ X[:, j]
+        assert np.linalg.norm(out[:, j] - expected) <= 1e-9 * np.linalg.norm(X[:, j])
+    # several vectors per column share that column's weight
+    stacked = batched_projector(structure, W)(np.stack([X, 2 * X], axis=2))
+    assert np.allclose(stacked[:, :, 1], 2 * out, rtol=0, atol=1e-9 * np.abs(X).max())
+    # a weight shared by every column factors a single Gram matrix
+    gram_sizes.clear()
+    shared = batched_projector(structure, np.repeat(W[:, :1], 9, axis=1))(X)
+    assert [size[0] for size in gram_sizes] == [1]
+    expected = structural_projector(S, W[:, 0]).dense() @ X
+    assert np.linalg.norm(shared - expected) <= 1e-9 * np.linalg.norm(X)
+
+
+def test_batched_projector_without_constraints_is_identity():
+    X = np.arange(6.0).reshape(1, 6)
+    assert np.array_equal(batched_projector(build_te([1]), np.ones((1, 6)))(X), X)
+
+
+def test_sym_solver_stack_solves_each_member():
+    rng = np.random.default_rng(4)
+    A = np.stack([random_spd(rng, 5) for _ in range(7)])
+    b = rng.normal(size=(7, 5, 2))
+    assert np.allclose(sym_solver(A, "stack")(b), np.linalg.solve(A, b), atol=1e-12)
+
+
+def test_sym_solver_stack_names_failing_member():
+    good = np.eye(2)
+    with pytest.raises(NotPositiveDefiniteError, match="column 1"):
+        sym_solver(np.stack([good, np.array([[1.0, 2.0], [2.0, 1.0]]), good]), "stack")
+    # exactly singular: the batched Cholesky fails, the member path names it
+    with pytest.raises(SingularSystemError, match="column 2"):
+        sym_solver(np.stack([good, good, np.ones((2, 2))]), "stack")
+    # numerically singular: Cholesky succeeds, the condition vetting rejects it
+    nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(SingularSystemError, match="column 0"):
+        sym_solver(np.stack([nearly, good]), "stack")
+
+
 # -- averaged projectors ---------------------------------------------------
 
 
 def test_averaged_cs_identical_weights_collapse():
     cs = toy_cs()
     w = np.array([2.0, 1.0, 1.0])
-    M = oblique_matrix(cs.summing_dense, w)
-    avg = averaged_cs_projector(cs, {4: w, 2: w, 1: w})
+    M = structural_projector(cs.summing(), w).dense()
+    avg = _mean_projection(cs, np.column_stack([w, w, w]))
     assert np.allclose(avg, M, atol=1e-12)
     assert np.allclose(avg @ avg, avg, atol=1e-10)
 
@@ -182,28 +247,25 @@ def test_averaged_cs_identical_weights_collapse():
 def test_averaged_cs_mixing_breaks_idempotency():
     # degenerate second projection (identity) mixed in: M̄ = (M + I)/2
     cs = toy_cs()
-    M1 = oblique_matrix(cs.summing_dense, np.array([2.0, 1.0, 1.0]))
+    M1 = structural_projector(cs.summing(), np.array([2.0, 1.0, 1.0])).dense()
     avg = (M1 + np.eye(3)) / 2
     assert not np.allclose(avg @ avg, avg, atol=1e-8)
 
 
 def test_averaged_te_identical_weights_collapse():
-    from ctrec.hierarchy import build_te
-
     te = build_te([2, 1])
     om = np.array([2.0, 1.0, 1.0])
-    M = oblique_matrix(te.summing_dense, om)
-    avg = averaged_te_projector(te, [om, om, om])
+    M = structural_projector(te.summing(), om).dense()
+    avg = _mean_projection(te, np.column_stack([om, om, om]))
     assert np.allclose(avg, M, atol=1e-12)
 
 
 def test_averaged_pv324_shape_smoke():
-    from ctrec.hierarchy import build_cs
     from helpers import pv324_agg
 
     agg, labels = pv324_agg()
     cs = build_cs(agg, labels)
     rng = np.random.default_rng(1)
-    weights = {k: rng.uniform(0.5, 2.0, size=cs.n_series) for k in (24, 12, 1)}
-    avg = averaged_cs_projector(cs, weights)
+    weights = rng.uniform(0.5, 2.0, size=(cs.n_series, 3))
+    avg = _mean_projection(cs, weights)
     assert avg.shape == (324, 324)

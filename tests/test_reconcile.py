@@ -7,7 +7,7 @@ import pytest
 from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
 from ctrec.errors import ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
-from ctrec.projection import oblique_matrix, structural_projector, zero_projector
+from ctrec.projection import structural_projector, zero_projector
 from ctrec.reconcile import (
     ForecastBlock,
     baseline_bu,
@@ -50,6 +50,16 @@ def constant_weights(rng, ct):
     return w, om
 
 
+def cs_table(ct, w):
+    """A cross-sectional weight vector shared by every temporal position."""
+    return np.outer(w, np.ones(ct.n_positions))
+
+
+def te_table(ct, om):
+    """A temporal weight vector shared by every series."""
+    return np.outer(np.ones(ct.n_series), om)
+
+
 # -- one-shot methods ------------------------------------------------------
 
 
@@ -77,8 +87,8 @@ def test_reconcile_cs_constant_weight_equals_matrix_oracle():
     ct = random_structure(rng, max_series=10, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
     w = rng.uniform(0.5, 2.0, size=ct.n_series)
-    M = oblique_matrix(ct.cs.summing_dense, w)
-    out = reconcile_cs(block, w)
+    M = structural_projector(ct.cs.summing(), w).dense()
+    out = reconcile_cs(block, cs_table(ct, w))
     assert np.allclose(out.block.values, M @ block.values, atol=1e-10)
 
 
@@ -87,14 +97,14 @@ def test_reconcile_te_mirrors_cs():
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
     om = rng.uniform(0.5, 2.0, size=ct.n_positions)
-    M = oblique_matrix(ct.te.summing_dense, om)
-    out = reconcile_te(block, om)
+    M = structural_projector(ct.te.summing(), om).dense()
+    out = reconcile_te(block, te_table(ct, om))
     # right-multiplication by the transposed temporal projection
     assert np.allclose(out.block.values, block.values @ M.T, atol=1e-10)
     assert out.coherence[1] < 1e-10
     # coherent input is untouched
     cb = coherent_block(rng, ct)
-    assert frobenius_gap(reconcile_te(cb, om).block, cb) < 1e-10
+    assert frobenius_gap(reconcile_te(cb, te_table(ct, om)).block, cb) < 1e-10
 
 
 def test_reconcile_oct_coherent_fixed_point_and_orthogonality():
@@ -116,8 +126,8 @@ def test_reconcile_oct_separable_sigma_is_two_sided_projection():
     block = random_block(rng, ct)
     w, om = constant_weights(rng, ct)
     out = reconcile_oct(block, np.kron(w, om))
-    m_cs = oblique_matrix(ct.cs.summing_dense, w)
-    m_te = oblique_matrix(ct.te.summing_dense, om)
+    m_cs = structural_projector(ct.cs.summing(), w).dense()
+    m_te = structural_projector(ct.te.summing(), om).dense()
     assert np.allclose(out.block.values, m_cs @ block.values @ m_te.T, atol=1e-9)
 
 
@@ -189,6 +199,7 @@ def test_iterative_single_cycle_under_constant_weights():
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
     w, om = constant_weights(rng, ct)
+    w, om = cs_table(ct, w), te_table(ct, om)
     for order in ("cst", "tcs"):
         out = reconcile_iterative(block, w, om, order=order)
         assert out.iterations == 1
@@ -285,17 +296,17 @@ def test_constant_weight_equivalence_suite(seed):
     ct = random_structure(rng, max_series=30, max_upper=8, m_choices=(4, 12))
     block = random_block(rng, ct)
     w, om = constant_weights(rng, ct)
-    w_by_order = {k: w for k in ct.te.orders}
-    om_by_series = np.tile(om, (ct.n_series, 1))
+    oct_weights = np.kron(w, om)
+    w, om = cs_table(ct, w), te_table(ct, om)
 
     results = {
         "seq-cst": reconcile_seq(block, w, om, order="cst"),
         "seq-tcs": reconcile_seq(block, w, om, order="tcs"),
-        "ka-cst": reconcile_ka(block, w_by_order, om_by_series, order="cst"),
-        "ka-tcs": reconcile_ka(block, w_by_order, om_by_series, order="tcs"),
+        "ka-cst": reconcile_ka(block, w, om, order="cst"),
+        "ka-tcs": reconcile_ka(block, w, om, order="tcs"),
         "ite-cst": reconcile_iterative(block, w, om, order="cst"),
         "ite-tcs": reconcile_iterative(block, w, om, order="tcs"),
-        "oct": reconcile_oct(block, np.kron(w, om)),
+        "oct": reconcile_oct(block, oct_weights),
     }
     assert results["ite-cst"].iterations == 1
     assert results["ite-tcs"].iterations == 1
@@ -304,6 +315,34 @@ def test_constant_weight_equivalence_suite(seed):
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             assert frobenius_gap(blocks[i], blocks[j]) <= tol
+
+
+# -- the weight table ------------------------------------------------------------
+
+
+def test_square_block_reads_the_table_one_way_only():
+    # n == q: an (n, q) table is still cell weights, columns for the
+    # cross-sectional step and rows for the temporal step
+    ct = toy_ct((2, 1))
+    assert ct.n_series == ct.n_positions == 3
+    rng = np.random.default_rng(22)
+    block = random_block(rng, ct)
+    table = rng.uniform(0.2, 5.0, size=(3, 3))
+    x = block.vector
+    for reconcile, framework in ((reconcile_cs, "cs"), (reconcile_te, "te")):
+        oracle = structural_projector(ct.full_summing(framework), table.ravel()).dense()
+        for weights in (table, table.ravel()):
+            out = reconcile(block, weights).block.vector
+            assert np.linalg.norm(out - oracle @ x) <= 1e-9 * np.linalg.norm(x)
+
+
+def test_weight_table_must_cover_every_cell():
+    block = toy_block()
+    for bad in (np.ones(3), np.ones((3, 3, 3)), np.ones((2, 3))):
+        with pytest.raises(ValidationError):
+            reconcile_cs(block, bad)
+    with pytest.raises(ValidationError):
+        reconcile_te(block, -np.ones((3, 3)))
 
 
 # -- coherence profile -------------------------------------------------------
