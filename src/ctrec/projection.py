@@ -13,7 +13,6 @@ debugging only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import cycle
 from typing import Callable
 
 import numpy as np
@@ -69,9 +68,9 @@ def sym_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray
     by less than PIVOT_FALLBACK_TOL (near-singular variance-scaled systems);
     raises otherwise, with a condition estimate and rank deficiency count.
     A stack is factored by one batched Cholesky, every member is vetted on
-    its own, and the solve takes a (b, r, s) right-hand side (a stack of one
-    matrix solves every member of it). When the batch fails, each member is
-    factored alone with the checks above.
+    its own, and the solve takes a (b, r, s) right-hand side, one member per
+    matrix. When the batch fails, each member is factored alone with the
+    checks above.
     """
     if A.ndim == 3:
         return _stack_solver(A, context)
@@ -89,11 +88,11 @@ def sym_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray
         lu = sla.lu_factor(A, check_finite=False)
         return lambda b: sla.lu_solve(lu, b, check_finite=False)
     # Cholesky can succeed on a numerically singular matrix; vet the factor.
-    pocon = sla.get_lapack_funcs("pocon", (A,))
+    pocon, potrs = sla.get_lapack_funcs(("pocon", "potrs"), (A,))
     rcond, _ = pocon(c[0], np.linalg.norm(A, 1), uplo=b"L" if c[1] else b"U")
     if rcond < RCOND_FLOOR:
         _raise_singular(A, context, float(rcond))
-    return lambda b: sla.cho_solve(c, b, check_finite=False)
+    return lambda b: potrs(c[0], b, lower=c[1])[0]
 
 
 def _stack_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -101,19 +100,25 @@ def _stack_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndar
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         solves = [sym_solver(a, f"{context} (column {j})") for j, a in enumerate(A)]
-        return lambda b: np.stack([solve(bj) for solve, bj in zip(cycle(solves), b)])
-    # Lᵀ slices are Fortran-ordered views, which LAPACK takes without a copy
-    U = L.transpose(0, 2, 1)
-    pocon, potrs = sla.get_lapack_funcs(("pocon", "potrs"), (A,))
-    for j, (Uj, norm) in enumerate(zip(U, np.abs(A).sum(axis=1).max(axis=1))):
-        rcond, _ = pocon(Uj, norm, uplo=b"U")
-        if rcond < RCOND_FLOOR:
-            _raise_singular(A[j], f"{context} (column {j})", float(rcond))
-    # a one-matrix stack serves every right-hand side; one column at a time
-    # keeps each triangular solve small
-    return lambda b: np.stack(
-        [potrs(Uj, bj, lower=0)[0] for Uj, bj in zip(cycle(U), b)]
-    )
+    else:
+        # Lᵀ slices are Fortran-ordered views, which LAPACK takes without a copy
+        U = L.transpose(0, 2, 1)
+        pocon, potrs = sla.get_lapack_funcs(("pocon", "potrs"), (A,))
+        for j, (Uj, norm) in enumerate(zip(U, np.abs(A).sum(axis=1).max(axis=1))):
+            rcond, _ = pocon(Uj, norm, uplo=b"U")
+            if rcond < RCOND_FLOOR:
+                _raise_singular(A[j], f"{context} (column {j})", float(rcond))
+        solves = [lambda bj, Uj=Uj: potrs(Uj, bj, lower=0)[0] for Uj in U]
+
+    def solve(b):
+        if len(b) != len(solves):
+            raise ValidationError(
+                f"{len(b)} right-hand sides for a stack of {len(solves)} matrices"
+            )
+        # one member at a time keeps each triangular solve small
+        return np.stack([solve_j(bj) for solve_j, bj in zip(solves, b)])
+
+    return solve
 
 
 def _gram_solver(G, context: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -266,14 +271,14 @@ def batched_projector(
     if np.all(W == W[:, :1]):  # one weight shared by every column: one Gram
         W = W[:, :1]
     if H.shape[0] < S.shape[1]:
-        solve = sym_solver(_grams(H, W), "constraint Gram matrix")
+        solve = _gram_stack_solver(H, W, "constraint Gram matrix")
 
         def project(X):  # X is (r, b, s)
             lam = solve(np.moveaxis(np.tensordot(H, X, 1), 1, 0))
             return X - W[:, :, None] * np.tensordot(H.T, np.moveaxis(lam, 0, 1), 1)
 
     else:
-        solve = sym_solver(_grams(S.T, 1.0 / W), "structural Gram matrix")
+        solve = _gram_stack_solver(S.T, 1.0 / W, "structural Gram matrix")
 
         def project(X):
             beta = solve(np.moveaxis(np.tensordot(S.T, X / W[:, :, None], 1), 1, 0))
@@ -286,9 +291,16 @@ def batched_projector(
     return apply
 
 
-def _grams(M: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The (b, g, g) stack M diag(W[:, j]) Mᵀ for every column j of W, as one
-    matrix product over the outer products of M's columns."""
-    g, r = M.shape
-    outer = (M.T[:, :, None] * M.T[:, None, :]).reshape(r, g * g)
-    return (W.T @ outer).reshape(-1, g, g)
+def _gram_stack_solver(M: np.ndarray, W: np.ndarray, context: str):
+    """Factor M diag(W[:, j]) Mᵀ for every column j of W and solve a (b, g, s)
+    right-hand side against it; a one-column W serves every member.
+
+    The Grams come from one batched product whose largest temporary is the
+    (b, g, r) stack of scaled copies of M.
+    """
+    grams = np.matmul(M * W.T[:, None, :], M.T)
+    if W.shape[1] > 1:
+        return sym_solver(grams, context)
+    solve = sym_solver(grams[0], context)
+    # one member at a time keeps each triangular solve small
+    return lambda b: np.stack([solve(bj) for bj in b])

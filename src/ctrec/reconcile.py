@@ -12,8 +12,8 @@ compose them. All of them leave the inputs untouched and are safe to run
 concurrently over origins.
 
 Every strategy takes its weights as one (n, q) table mirroring a forecast
-block: a named diagonal covariance, or any array of n·q positive entries in
-series-major order. The cross-sectional step reads the table's columns, the
+block: a named diagonal covariance, an (n, q) array of positive entries, or
+its series-major flattening. The cross-sectional step reads the table's columns, the
 temporal step its rows.
 """
 
@@ -160,20 +160,21 @@ def _sigma_flags(*sigmas) -> tuple[str, ...]:
 def _cells(ct: CrossTemporalStructure, sigma) -> np.ndarray:
     """A strategy's weights as one (n, q) table mirroring a forecast block.
 
-    ``sigma`` is a named diagonal covariance or any array of n·q entries,
-    read in series-major order (the canonical vector layout).
+    ``sigma`` is a named diagonal covariance, an (n, q) array, or a vector
+    of n·q entries in series-major order (the canonical vector layout).
     """
     if isinstance(sigma, DiagonalSigma):
         if sigma.structure.dim != ct.dim:
             raise ValidationError("covariance built for a different structure")
         return sigma.cells()
     w = np.asarray(sigma, dtype=float)
-    if w.size != ct.dim:
+    shape = (ct.n_series, ct.n_positions)
+    if w.shape not in (shape, (ct.dim,)):
         raise ValidationError(
-            f"weights of shape {w.shape} do not hold one entry per cell of "
-            f"the {ct.n_series}x{ct.n_positions} block"
+            f"weights of shape {w.shape} are neither an {shape} cell table "
+            f"nor a vector of its {ct.dim} cells"
         )
-    return w.reshape(ct.n_series, ct.n_positions)
+    return w.reshape(shape)
 
 
 def _cs_step(ct: CrossTemporalStructure, sigma) -> Callable[[np.ndarray], np.ndarray]:

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import ctrec.projection as projection
-from ctrec.errors import NotPositiveDefiniteError, SingularSystemError
+from ctrec.errors import NotPositiveDefiniteError, SingularSystemError, ValidationError
 from ctrec.hierarchy import build_cs, build_te
 from ctrec.projection import (
     batched_projector,
@@ -192,7 +192,8 @@ def test_batched_projector_matches_dense_oracle_in_both_forms(
     W = rng.uniform(0.2, 5.0, size=(r, 9))
     X = rng.normal(size=(r, 9)) * 10
     out = batched_projector(structure, W)(X)
-    assert gram_sizes == [(9, r - c, r - c) if form == "constraint" else (9, c, c)]
+    g = r - c if form == "constraint" else c
+    assert gram_sizes == [(9, g, g)]
     for j in range(9):
         expected = structural_projector(S, W[:, j]).dense() @ X[:, j]
         assert np.linalg.norm(out[:, j] - expected) <= 1e-9 * np.linalg.norm(X[:, j])
@@ -202,9 +203,33 @@ def test_batched_projector_matches_dense_oracle_in_both_forms(
     # a weight shared by every column factors a single Gram matrix
     gram_sizes.clear()
     shared = batched_projector(structure, np.repeat(W[:, :1], 9, axis=1))(X)
-    assert [size[0] for size in gram_sizes] == [1]
+    assert gram_sizes == [(g, g)]
     expected = structural_projector(S, W[:, 0]).dense() @ X
     assert np.linalg.norm(shared - expected) <= 1e-9 * np.linalg.norm(X)
+
+
+@pytest.mark.parametrize("n_upper, n_bottom", [(200, 300), (300, 200)])
+def test_batched_projector_memory_stays_linear_in_the_structure(n_upper, n_bottom):
+    # a Gram of 200 x 200 in either form: building the step must not
+    # allocate one g x g outer product per row (r·g² doubles, 160 MB here);
+    # the (b, g, r) scaled copies of the summing or constraint matrix bound it
+    import tracemalloc
+
+    cs = build_cs(random_agg(np.random.default_rng(5), n_upper, n_bottom))
+    r, g, b = cs.n_series, 200, 4
+    cs.summing_dense, cs.constraint_dense  # cached before tracing
+    rng = np.random.default_rng(6)
+    W = rng.uniform(0.2, 5.0, size=(r, b))
+    X = rng.normal(size=(r, b))
+    tracemalloc.start()
+    try:
+        out = batched_projector(cs, W)(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * b * g * r * 8
+    expected = zero_projector(cs.constraint_dense, W[:, 1])(X[:, 1])
+    assert np.linalg.norm(out[:, 1] - expected) <= 1e-9 * np.linalg.norm(X[:, 1])
 
 
 def test_batched_projector_without_constraints_is_identity():
@@ -217,6 +242,13 @@ def test_sym_solver_stack_solves_each_member():
     A = np.stack([random_spd(rng, 5) for _ in range(7)])
     b = rng.normal(size=(7, 5, 2))
     assert np.allclose(sym_solver(A, "stack")(b), np.linalg.solve(A, b), atol=1e-12)
+
+
+def test_sym_solver_stack_pairs_members_strictly():
+    A = np.stack([np.eye(2)] * 3)
+    for count in (2, 4):
+        with pytest.raises(ValidationError, match="right-hand sides"):
+            sym_solver(A, "stack")(np.ones((count, 2, 1)))
 
 
 def test_sym_solver_stack_names_failing_member():

@@ -343,6 +343,14 @@ def test_weight_table_must_cover_every_cell():
             reconcile_cs(block, bad)
     with pytest.raises(ValidationError):
         reconcile_te(block, -np.ones((3, 3)))
+    # every n·q-entry array that is not (n, q) or flat would be misread
+    ct = toy_ct((4, 2, 1))
+    block = random_block(np.random.default_rng(23), ct)
+    n, q = ct.n_series, ct.n_positions
+    for bad in (np.ones((q, n)), np.ones((n * q, 1)), np.ones((1, n * q))):
+        for reconcile in (reconcile_cs, reconcile_te, reconcile_oct):
+            with pytest.raises(ValidationError, match="cell table"):
+                reconcile(block, bad)
 
 
 # -- coherence profile -------------------------------------------------------
