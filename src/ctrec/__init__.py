@@ -51,6 +51,7 @@ from .reconcile import (
     baseline_bu,
     baseline_pers_bu,
     frobenius_gap,
+    prepare,
     reconcile_cs,
     reconcile_iterative,
     reconcile_ka,
@@ -95,6 +96,7 @@ __all__ = [
     "nrmse",
     "nrmse_table",
     "perf_summary",
+    "prepare",
     "pv324_structure",
     "random_structure",
     "reconcile_cs",

@@ -19,35 +19,19 @@ from .errors import NumericalError, ReconciliationError, ValidationError
 from .evaluate import EvalFrame, mcb_nemenyi, nrmse_table, perf_summary
 from .hierarchy import CrossTemporalStructure, build_cs, build_ct, build_te
 from .reconcile import (
+    METHODS as RECONCILE_METHODS,
     ForecastBlock,
     ReconcileReport,
     baseline_bu,
     baseline_pers_bu,
-    reconcile_cs,
-    reconcile_iterative,
-    reconcile_ka,
-    reconcile_oct,
-    reconcile_seq,
-    reconcile_te,
+    prepare,
     run_batch,
     sntz,
 )
 from .simulate import pv324_structure, simulate_dataset
 from .verify import run_all
 
-METHODS = (
-    "cs",
-    "te",
-    "oct",
-    "seq-cst",
-    "seq-tcs",
-    "ka-cst",
-    "ka-tcs",
-    "ite-cst",
-    "ite-tcs",
-    "bu",
-    "pers-bu",
-)
+METHODS = RECONCILE_METHODS + ("bu", "pers-bu")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -83,67 +67,50 @@ def _load_structure(config: RunConfig) -> CrossTemporalStructure:
 
 
 def _strategy(config: RunConfig, ct: CrossTemporalStructure, residuals, histories):
-    """Bind a method name to a per-origin callable returning a report."""
+    """Bind a method name to a per-origin callable returning a report.
+
+    A reconciling method is prepared once here and builds its operator on
+    the first origin's call, so a batch factors it once.
+    """
     method = config.method
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
-    needs_cov = method not in ("bu", "pers-bu")
-    sigma = None
-    if needs_cov:
-        spec = CovarianceSpec(config.covariance, residuals=residuals)
-        sigma = spec.build(ct)
+    if method in RECONCILE_METHODS:
+        sigma = CovarianceSpec(config.covariance, residuals=residuals).build(ct)
+        reconcile = prepare(
+            method, ct, sigma, delta=config.delta, max_iter=config.max_iter,
+            measure_memory=config.timings,
+        )
+    else:
+        reconcile = _baseline(method, ct, histories)
 
-    def baseline_report(block: ForecastBlock, name: str) -> ReconcileReport:
+    if not config.apply_sntz:
+        return reconcile
+    return lambda block: sntz(reconcile(block))
+
+
+def _baseline(method: str, ct: CrossTemporalStructure, histories):
+    """The bu / pers-bu baselines as a per-origin callable."""
+
+    def run(block: ForecastBlock) -> ReconcileReport:
+        if method == "bu":
+            out = baseline_bu(block)
+        elif histories is None or block.origin_id not in histories:
+            raise ValidationError(
+                f"pers-bu needs --history covering origin {block.origin_id}"
+            )
+        else:
+            out = baseline_pers_bu(histories[block.origin_id], ct, block.origin_id)
         return ReconcileReport(
-            block=block,
-            method=name,
+            block=out,
+            method=method,
             covariance="none",
             iterations=1,
             trace=(0.0,),
-            coherence=ct.coherence_residuals(block.values),
+            coherence=ct.coherence_residuals(out.values),
             elapsed=0.0,
             peak_mem=0,
         )
-
-    def run(block: ForecastBlock) -> ReconcileReport:
-        if method == "cs":
-            report = reconcile_cs(block, sigma, measure_memory=config.timings)
-        elif method == "te":
-            report = reconcile_te(block, sigma, measure_memory=config.timings)
-        elif method == "oct":
-            report = reconcile_oct(block, sigma, measure_memory=config.timings)
-        elif method.startswith("seq-"):
-            report = reconcile_seq(
-                block, sigma, sigma, order=method[4:], measure_memory=config.timings
-            )
-        elif method.startswith("ka-"):
-            report = reconcile_ka(
-                block, sigma, sigma, order=method[3:], measure_memory=config.timings
-            )
-        elif method.startswith("ite-"):
-            report = reconcile_iterative(
-                block,
-                sigma,
-                sigma,
-                order=method[4:],
-                delta=config.delta,
-                max_iter=config.max_iter,
-                measure_memory=config.timings,
-            )
-        elif method == "bu":
-            report = baseline_report(baseline_bu(block), "bu")
-        else:  # pers-bu
-            if histories is None or block.origin_id not in histories:
-                raise ValidationError(
-                    f"pers-bu needs --history covering origin {block.origin_id}"
-                )
-            fb = baseline_pers_bu(
-                histories[block.origin_id], ct, origin_id=block.origin_id
-            )
-            report = baseline_report(fb, "pers-bu")
-        if config.apply_sntz:
-            report = sntz(report)
-        return report
 
     return run
 
@@ -243,7 +210,7 @@ def _read_levels(path, ct: CrossTemporalStructure) -> tuple[str, ...]:
     import csv as _csv
 
     mapping = {}
-    with open(path, newline="") as fh:
+    with io.open_input(path) as fh:
         for row in _csv.reader(fh):
             if len(row) >= 2 and row[0] != "series":
                 mapping[row[0]] = row[1]

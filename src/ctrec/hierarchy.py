@@ -338,7 +338,7 @@ def build_te(orders: Sequence[int]) -> TemporalStructure:
     """
     try:
         uniq = sorted({int(k) for k in orders}, reverse=True)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"orders must be integers: {orders!r}") from exc
     if not uniq:
         raise StructureError("no aggregation orders given")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +22,22 @@ from .errors import ValidationError
 from .evaluate import NemenyiResult, NrmseTable, PerfRow
 from .hierarchy import CrossTemporalStructure, TemporalStructure
 from .reconcile import ForecastBlock, ReconcileReport
+
+
+@contextmanager
+def open_input(path):
+    """Open an input file for reading; a missing, unreadable or undecodable
+    file raises ValidationError naming it."""
+    try:
+        fh = open(path, newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read {path}: {reason}")
+    with fh:
+        try:
+            yield fh
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read {path}: {exc}")
 
 
 def _fmt(value: float) -> str:
@@ -56,7 +73,9 @@ def read_hierarchy_file(path) -> tuple[np.ndarray, list[str], list[int]]:
     orders: list[int] | None = None
     agg_rows: list[tuple[str, list[str]]] = []
     matrix_path: Path | None = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    with open_input(path) as fh:
+        text = fh.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -107,11 +126,8 @@ def read_hierarchy_file(path) -> tuple[np.ndarray, list[str], list[int]]:
 
 
 def _read_weight_matrix(path: Path):
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ValidationError(f"cannot read weight matrix {path}: {exc}")
+    with open_input(path) as fh:
+        rows = list(csv.reader(fh))
     if len(rows) < 2 or len(rows[0]) < 2:
         raise ValidationError(f"{path}: weight matrix needs a header and rows")
     bottom_labels = [c.strip() for c in rows[0][1:]]
@@ -205,7 +221,7 @@ def read_blocks_csv(path, ct: CrossTemporalStructure) -> list[ForecastBlock]:
     index = {label: i for i, label in enumerate(ct.cs.labels)}
     per_origin: dict[str, np.ndarray] = {}
     seen: dict[str, set] = {}
-    with open(path, newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["origin", "series"]:
@@ -279,7 +295,7 @@ def read_history_csv(path, ct: CrossTemporalStructure) -> dict[str, np.ndarray]:
     index = {label: i for i, label in enumerate(bottoms)}
     out: dict[str, np.ndarray] = {}
     seen: dict[str, set] = {}
-    with open(path, newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["origin", "series"]:
@@ -340,7 +356,7 @@ def write_reports_jsonl(path, reports: Iterable[ReconcileReport], timings: bool 
 
 
 def read_reports_jsonl(path) -> list[dict]:
-    with open(path) as fh:
+    with open_input(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
 
 

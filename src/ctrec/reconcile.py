@@ -11,6 +11,10 @@ combined projection); the sequential, averaged and alternating heuristics
 compose them. All of them leave the inputs untouched and are safe to run
 concurrently over origins.
 
+``prepare`` splits a method into its weight-dependent part (projectors,
+factorizations, averaged matrices), built once per batch, and the
+per-origin apply; each ``reconcile_*`` function prepares for one block.
+
 Every strategy takes its weights as one (n, q) table mirroring a forecast
 block: a named diagonal covariance, an (n, q) array of positive entries, or
 its series-major flattening. The cross-sectional step reads the table's columns, the
@@ -19,9 +23,10 @@ temporal step its rows.
 
 from __future__ import annotations
 
+import threading
 import time
 import tracemalloc
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -47,6 +52,9 @@ from .projection import (
 ITERATIVE_DEFAULT_DELTA = 1e-6
 ITERATIVE_DEFAULT_MAX_ITER = 100
 STOP_CRITERIA = ("fixed_point", "frobenius", "incoherence")
+METHODS = (
+    "cs", "te", "oct", "seq-cst", "seq-tcs", "ka-cst", "ka-tcs", "ite-cst", "ite-tcs",
+)
 
 
 @dataclass(frozen=True)
@@ -209,74 +217,195 @@ def _oct_projector(ct: CrossTemporalStructure, sigma) -> Projector:
     return zero_projector(ct.full_constraint("ct"), diag)
 
 
-def _finish(
-    block: ForecastBlock,
-    values: np.ndarray,
+def _ka_map(
+    ct: CrossTemporalStructure, sigma_cs, sigma_te, order: str
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One uni-dimensional step followed by the other dimension's averaged
+    projection matrix."""
+    w, om = _cells(ct, sigma_cs), _cells(ct, sigma_te)
+    starts = [ct.te.order_slice(k).start for k in ct.te.orders]
+    w_by_order = w[:, starts]
+    widths = np.diff(starts + [ct.n_positions])
+    if not np.array_equal(np.repeat(w_by_order, widths, axis=1), w):
+        raise ValidationError(
+            "the averaging heuristic needs one cross-sectional weight per order, "
+            "but the weights vary within an order"
+        )
+    if order == "cst":
+        step, m_bar = _cs_step(ct, w), _mean_projection(ct.te, om.T)
+        return lambda X: step(X) @ m_bar.T
+    step, m_bar = _te_step(ct, om), _mean_projection(ct.cs, w_by_order)
+    return lambda X: m_bar @ step(X)
+
+
+def _build(kind: str, order: str, ct: CrossTemporalStructure, sigma_cs, sigma_te):
+    """The weight-dependent part of a method: the block map a one-shot
+    method applies, or the (first, second) steps that ``ite`` alternates."""
+    if kind == "oct":
+        projector = _oct_projector(ct, sigma_cs)
+        return lambda X: ct.devectorize(projector(ct.vectorize(X)))
+    if kind == "cs":
+        return _cs_step(ct, sigma_cs)
+    if kind == "te":
+        return _te_step(ct, sigma_te)
+    if kind == "ka":
+        return _ka_map(ct, sigma_cs, sigma_te, order)
+    cs_step, te_step = _cs_step(ct, sigma_cs), _te_step(ct, sigma_te)
+    first, second = (cs_step, te_step) if order == "cst" else (te_step, cs_step)
+    if kind == "seq":
+        return lambda X: second(first(X))
+    return first, second
+
+
+def _alternate(first, second, x0, ct, delta, max_iter, criterion, keep_iterates):
+    """Apply ``first`` then ``second`` per cycle until ``criterion`` holds.
+
+    Returns the last iterate, the Frobenius change of every cycle, whether
+    it converged, and the iterates when kept (else None).
+    """
+    previous = x0
+    half = first(previous)
+    trace, iterates = [], []
+    converged = False
+    for _ in range(max_iter):
+        current = second(half)
+        trace.append(float(np.linalg.norm(current - previous)))
+        if keep_iterates:
+            iterates.append(current.copy())
+        if criterion == "fixed_point":  # the next half-step is reused if needed
+            half = first(current)
+            converged = float(np.linalg.norm(half - current)) <= delta * max(
+                1.0, float(np.linalg.norm(current))
+            )
+        elif criterion == "frobenius":
+            converged = trace[-1] <= delta * max(1.0, float(np.linalg.norm(previous)))
+        else:
+            converged = max(ct.coherence_residuals(current)) <= delta * max(
+                1.0, float(np.abs(current).max())
+            )
+        previous = current
+        if converged:
+            break
+        if criterion != "fixed_point":
+            half = first(current)
+    return previous, trace, converged, iterates if keep_iterates else None
+
+
+def prepare(
     method: str,
-    covariance: str,
-    meter: _Meter,
-    iterations: int = 1,
-    trace: Sequence[float] = (),
-    converged: bool = True,
-    flags: Sequence[str] = (),
-    iterates=None,
-) -> ReconcileReport:
-    out = block.with_values(values)
-    return ReconcileReport(
-        block=out,
-        method=method,
-        covariance=covariance,
-        iterations=iterations,
-        trace=tuple(float(g) for g in trace),
-        coherence=block.structure.coherence_residuals(out.values),
-        elapsed=meter.elapsed,
-        peak_mem=meter.peak,
-        converged=converged,
-        flags=tuple(flags),
-        iterates=None if iterates is None else tuple(iterates),
+    ct: CrossTemporalStructure,
+    sigma,
+    sigma_te=None,
+    *,
+    delta: float = ITERATIVE_DEFAULT_DELTA,
+    max_iter: int = ITERATIVE_DEFAULT_MAX_ITER,
+    criterion: str = "fixed_point",
+    keep_iterates: bool = False,
+    measure_memory: bool = False,
+) -> Callable[[ForecastBlock], ReconcileReport]:
+    """Bind a reconciling method and its weights to a per-origin callable.
+
+    ``sigma`` weighs the cross-sectional step (and ``oct``), ``sigma_te``
+    the temporal one (default: ``sigma``). Everything that depends only on
+    the weights — the projectors and their factorizations, ``ka``'s
+    averaged matrix — is built once, on the first call, under a lock so
+    that concurrent origins share it; every call then applies it to its
+    own block. The first report's ``elapsed`` carries that preparation.
+    ``delta``, ``max_iter``, ``criterion`` and ``keep_iterates`` concern
+    the ``ite-*`` methods only (see ``reconcile_iterative``).
+    """
+    kind, _, order = method.partition("-")
+    if kind in ("seq", "ka", "ite"):
+        _check_order(order)
+    elif method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
+    if kind == "ite":
+        if delta <= 0:
+            raise ValidationError(f"delta must be positive, got {delta}")
+        if max_iter < 1:
+            raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+        if criterion not in STOP_CRITERIA:
+            raise ValidationError(f"criterion {criterion!r} not in {STOP_CRITERIA}")
+    sigma_te = sigma if sigma_te is None else sigma_te
+    weights = {"cs": (sigma,), "oct": (sigma,), "te": (sigma_te,)}.get(
+        kind, (sigma, sigma_te)
     )
+    if kind == "ka":
+        covariance = "per-order/per-series"
+    elif len(weights) == 1:
+        covariance = _sigma_name(weights[0])
+    else:
+        covariance = f"cs={_sigma_name(sigma)},te={_sigma_name(sigma_te)}"
+    lock = threading.Lock()
+    built = []
+
+    def run(block: ForecastBlock) -> ReconcileReport:
+        if block.structure is not ct:
+            raise ValidationError(
+                f"origin {block.origin_id}: block of another structure"
+            )
+        with _Meter(measure_memory) as meter:
+            with lock:
+                if not built:
+                    built.append(_build(kind, order, ct, sigma, sigma_te))
+            if kind == "ite":
+                values, trace, converged, iterates = _alternate(
+                    *built[0], block.values, ct, delta, max_iter, criterion,
+                    keep_iterates,
+                )
+            else:
+                values = built[0](block.values)
+                trace = [frobenius_gap(values, block.values)]
+                converged, iterates = True, None
+        # measured on the stored copy so the figures do not depend on the
+        # memory layout the last step returned (a te step returns a view)
+        out = block.with_values(values)
+        coherence = ct.coherence_residuals(out.values)
+        flags = list(_sigma_flags(*weights))
+        if kind == "ka" and max(coherence) > 1e-8 * max(1.0, float(np.abs(values).max())):
+            flags.append("ka-incoherent")
+        if not converged:
+            flags.append("non-converged")
+        return ReconcileReport(
+            block=out,
+            method=method,
+            covariance=covariance,
+            iterations=len(trace),
+            trace=tuple(trace),
+            coherence=coherence,
+            elapsed=meter.elapsed,
+            peak_mem=meter.peak,
+            converged=converged,
+            flags=tuple(flags),
+            iterates=None if iterates is None else tuple(iterates),
+            delta=delta if kind == "ite" else None,
+        )
+
+    return run
 
 
 def reconcile_cs(
     block: ForecastBlock, sigma_cs, measure_memory: bool = False
 ) -> ReconcileReport:
     """Cross-sectionally coherent reconciliation (temporal coherence not enforced)."""
-    with _Meter(measure_memory) as meter:
-        apply = _cs_step(block.structure, sigma_cs)
-        values = apply(block.values)
-        gap = frobenius_gap(values, block.values)
-    return _finish(
-        block, values, "cs", _sigma_name(sigma_cs), meter,
-        trace=[gap], flags=_sigma_flags(sigma_cs),
-    )
+    run = prepare("cs", block.structure, sigma_cs, measure_memory=measure_memory)
+    return run(block)
 
 
 def reconcile_te(
     block: ForecastBlock, sigma_te, measure_memory: bool = False
 ) -> ReconcileReport:
     """Temporally coherent reconciliation (cross-sectional coherence not enforced)."""
-    with _Meter(measure_memory) as meter:
-        apply = _te_step(block.structure, sigma_te)
-        values = apply(block.values)
-        gap = frobenius_gap(values, block.values)
-    return _finish(
-        block, values, "te", _sigma_name(sigma_te), meter,
-        trace=[gap], flags=_sigma_flags(sigma_te),
-    )
+    run = prepare("te", block.structure, sigma_te, measure_memory=measure_memory)
+    return run(block)
 
 
 def reconcile_oct(
     block: ForecastBlock, sigma_ct, measure_memory: bool = False
 ) -> ReconcileReport:
     """One-shot fully coherent reconciliation under the combined covariance."""
-    with _Meter(measure_memory) as meter:
-        projector = _oct_projector(block.structure, sigma_ct)
-        values = block.structure.devectorize(projector(block.vector))
-        gap = frobenius_gap(values, block.values)
-    return _finish(
-        block, values, "oct", _sigma_name(sigma_ct), meter,
-        trace=[gap], flags=_sigma_flags(sigma_ct),
-    )
+    run = prepare("oct", block.structure, sigma_ct, measure_memory=measure_memory)
+    return run(block)
 
 
 def reconcile_seq(
@@ -292,20 +421,10 @@ def reconcile_seq(
     coherent), "tcs" the reverse. The first dimension's coherence is not
     preserved in general; the report carries the remaining violation.
     """
-    _check_order(order)
-    with _Meter(measure_memory) as meter:
-        cs_step = _cs_step(block.structure, sigma_cs)
-        te_step = _te_step(block.structure, sigma_te)
-        if order == "cst":
-            values = te_step(cs_step(block.values))
-        else:
-            values = cs_step(te_step(block.values))
-        gap = frobenius_gap(values, block.values)
-    return _finish(
-        block, values, f"seq-{order}",
-        f"cs={_sigma_name(sigma_cs)},te={_sigma_name(sigma_te)}", meter,
-        trace=[gap], flags=_sigma_flags(sigma_cs, sigma_te),
-    )
+    return prepare(
+        f"seq-{order}", block.structure, sigma_cs, sigma_te,
+        measure_memory=measure_memory,
+    )(block)
 
 
 def reconcile_ka(
@@ -326,33 +445,10 @@ def reconcile_ka(
     which must be constant across each order's positions). The result's
     full coherence is verified numerically and flagged if violated.
     """
-    _check_order(order)
-    ct = block.structure
-    w, om = _cells(ct, sigma_cs), _cells(ct, sigma_te)
-    starts = [ct.te.order_slice(k).start for k in ct.te.orders]
-    w_by_order = w[:, starts]
-    widths = np.diff(starts + [ct.n_positions])
-    if not np.array_equal(np.repeat(w_by_order, widths, axis=1), w):
-        raise ValidationError(
-            "the averaging heuristic needs one cross-sectional weight per order, "
-            "but the weights vary within an order"
-        )
-    with _Meter(measure_memory) as meter:
-        if order == "cst":
-            m_bar = _mean_projection(ct.te, om.T)
-            values = _cs_step(ct, w)(block.values) @ m_bar.T
-        else:
-            m_bar = _mean_projection(ct.cs, w_by_order)
-            values = m_bar @ _te_step(ct, om)(block.values)
-        gap = frobenius_gap(values, block.values)
-    flags = list(_sigma_flags(sigma_cs, sigma_te))
-    tol = 1e-8 * max(1.0, float(np.abs(values).max()))
-    if max(ct.coherence_residuals(values)) > tol:
-        flags.append("ka-incoherent")
-    return _finish(
-        block, values, f"ka-{order}", "per-order/per-series", meter,
-        trace=[gap], flags=flags,
-    )
+    return prepare(
+        f"ka-{order}", block.structure, sigma_cs, sigma_te,
+        measure_memory=measure_memory,
+    )(block)
 
 
 def reconcile_iterative(
@@ -384,65 +480,11 @@ def reconcile_iterative(
     the second dimension's coherence exact; the other dimension's residual
     is reported, never hidden.
     """
-    _check_order(order)
-    if delta <= 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    if criterion not in STOP_CRITERIA:
-        raise ValidationError(f"criterion {criterion!r} not in {STOP_CRITERIA}")
-    ct = block.structure
-    with _Meter(measure_memory) as meter:
-        cs_step = _cs_step(ct, sigma_cs)
-        te_step = _te_step(ct, sigma_te)
-        first, second = (cs_step, te_step) if order == "cst" else (te_step, cs_step)
-
-        previous = block.values
-        half = first(previous)
-        trace, iterates = [], []
-        converged = False
-        iterations = 0
-        for j in range(1, max_iter + 1):
-            current = second(half)
-            trace.append(float(np.linalg.norm(current - previous)))
-            if keep_iterates:
-                iterates.append(current.copy())
-            iterations = j
-            if criterion == "frobenius":
-                converged = trace[-1] <= delta * max(
-                    1.0, float(np.linalg.norm(previous))
-                )
-                previous = current
-                if converged:
-                    break
-                half = first(current)
-            elif criterion == "incoherence":
-                converged = max(ct.coherence_residuals(current)) <= delta * max(
-                    1.0, float(np.abs(current).max())
-                )
-                previous = current
-                if converged:
-                    break
-                half = first(current)
-            else:
-                next_half = first(current)
-                converged = float(np.linalg.norm(next_half - current)) <= delta * max(
-                    1.0, float(np.linalg.norm(current))
-                )
-                previous = current
-                if converged:
-                    break
-                half = next_half
-    flags = list(_sigma_flags(sigma_cs, sigma_te))
-    if not converged:
-        flags.append("non-converged")
-    report = _finish(
-        block, previous, f"ite-{order}",
-        f"cs={_sigma_name(sigma_cs)},te={_sigma_name(sigma_te)}", meter,
-        iterations=iterations, trace=trace, converged=converged, flags=flags,
-        iterates=iterates if keep_iterates else None,
-    )
-    return replace(report, delta=delta)
+    return prepare(
+        f"ite-{order}", block.structure, sigma_cs, sigma_te, delta=delta,
+        max_iter=max_iter, criterion=criterion, keep_iterates=keep_iterates,
+        measure_memory=measure_memory,
+    )(block)
 
 
 def sntz(report: ReconcileReport, measure_memory: bool = False) -> ReconcileReport:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ctrec
+import ctrec.reconcile as reconcile
 from ctrec.cli import main
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.io import read_blocks_csv, read_hierarchy_file, read_reports_jsonl
@@ -181,6 +182,25 @@ def test_reconcile_malformed_rows_exit_2_with_file_and_line(workdir, capsys):
     assert "hist.csv:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--hierarchy", "--input", "--residuals", "--history"])
+def test_reconcile_missing_input_file_exits_2_naming_it(workdir, capsys, flag):
+    sim = simulate(workdir)
+    args = {
+        "--hierarchy": workdir / "hier.txt",
+        "--input": sim / "base.csv",
+        "--residuals": sim / "residuals.csv",
+        "--history": sim / "history.csv",
+    }
+    missing = workdir / "no-such-file.csv"
+    args[flag] = missing
+    method = ["--method", "pers-bu"] if flag == "--history" else ["--cov", "wlsv"]
+    argv = ["reconcile", "--out", workdir / "x"] + method
+    for name, path in args.items():
+        argv += [name, path]
+    assert run(argv) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_reconcile_non_convergence_exit_code_and_outputs(workdir):
     sim = simulate(workdir)
     out = workdir / "out-nc"
@@ -232,6 +252,43 @@ def test_determinism_across_runs_and_thread_counts(workdir):
             ((out / "reconciled.csv").read_bytes(), (out / "reports.jsonl").read_bytes())
         )
     assert outputs[0] == outputs[1]
+
+
+def test_batch_prepares_once_and_is_deterministic(workdir, monkeypatch):
+    # a batch builds its operator on the first origin only, whatever the
+    # thread count, and the output bytes do not depend on either
+    sim = simulate(workdir, reps=4)
+    calls = []
+
+    def counting(name):
+        real = getattr(reconcile, name)
+
+        def count(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return count
+
+    for name in ("zero_projector", "structural_projector", "batched_projector"):
+        monkeypatch.setattr(reconcile, name, counting(name))
+    expected_calls = {
+        "oct": ["structural_projector"],  # 49 cells: the dense structural form
+        "ite-tcs": ["batched_projector"] * 2,  # one temporal, one cross-sectional
+    }
+    for method, expected in expected_calls.items():
+        outputs = set()
+        for threads in (1, 2, 1, 2):
+            calls.clear()
+            out = workdir / f"{method}-{threads}"
+            assert run(
+                ["reconcile", "--hierarchy", workdir / "hier.txt",
+                 "--input", sim / "base.csv", "--method", method, "--cov", "wlsv",
+                 "--residuals", sim / "residuals.csv", "--threads", threads,
+                 "--out", out]
+            ) == 0
+            assert calls == expected
+            outputs.add((out / "reconciled.csv").read_bytes())
+        assert len(outputs) == 1
 
 
 def test_evaluate_with_level_map_and_bad_candidate_spec(workdir):

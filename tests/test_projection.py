@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 import ctrec.projection as projection
 from ctrec.errors import NotPositiveDefiniteError, SingularSystemError, ValidationError
-from ctrec.hierarchy import build_cs, build_te
+from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.projection import (
     batched_projector,
     structural_projector,
@@ -14,6 +14,7 @@ from ctrec.projection import (
     zero_projector,
 )
 from ctrec.reconcile import _mean_projection
+from ctrec.simulate import pv324_structure
 from helpers import random_agg, random_spd, random_structure, toy_cs, toy_ct
 
 S3 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -301,3 +302,50 @@ def test_averaged_pv324_shape_smoke():
     weights = rng.uniform(0.5, 2.0, size=(cs.n_series, 3))
     avg = _mean_projection(cs, weights)
     assert avg.shape == (324, 324)
+
+
+def _recording_splu(monkeypatch):
+    """Patch splu to record (Gram nnz, factor nnz) of every sparse factorization."""
+    fills = []
+    real_splu = projection.spla.splu
+
+    def splu(G, **kwargs):
+        lu = real_splu(G, **kwargs)
+        fills.append((G.nnz, lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(projection.spla, "splu", splu)
+    return fills
+
+
+def test_zero_projector_sparse_gram_matches_dense_oracle(monkeypatch):
+    # 30 series x 60 positions: the 1 200-row combined constraint Gram is past
+    # DENSE_SOLVE_CUTOFF, so it is factored sparsely; the symmetric ordering
+    # keeps the factor within a few times the Gram's nnz (a column ordering
+    # fills this one ~13x)
+    fills = _recording_splu(monkeypatch)
+    cs = build_cs(random_agg(np.random.default_rng(1), 5, 25))
+    ct = build_ct(cs, build_te([24, 12, 8, 6, 4, 3, 2, 1]))
+    H = ct.full_constraint("ct")
+    assert H.shape[0] > projection.DENSE_SOLVE_CUTOFF
+    rng = np.random.default_rng(4)
+    w = rng.uniform(0.2, 5.0, ct.dim)
+    X = rng.normal(size=(ct.dim, 8)) * 10
+    out = zero_projector(H, w)(X)
+    [(gram_nnz, factor_nnz)] = fills
+    assert factor_nnz <= 5 * gram_nnz
+    expected = structural_projector(ct.full_summing("ct"), w).dense() @ X
+    assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_pv324_constraint_gram_factor_fill_stays_small(monkeypatch):
+    # 11 808-row Gram: the symmetric ordering fills it ~1.5x, a column
+    # ordering ~20x
+    fills = _recording_splu(monkeypatch)
+    ct = pv324_structure()
+    w = np.random.default_rng(5).uniform(0.2, 5.0, ct.dim)
+    x = np.random.default_rng(6).normal(size=ct.dim)
+    y = zero_projector(ct.full_constraint("ct"), w)(x)
+    [(gram_nnz, factor_nnz)] = fills
+    assert factor_nnz <= 2 * gram_nnz
+    assert np.abs(ct.full_constraint("ct") @ y).max() <= 1e-9 * np.abs(x).max()
