@@ -5,12 +5,15 @@ Each combination is prepared once for the batch (`ctrec.prepare`), as
 `ctrec reconcile` does: its projectors are built and factored on the first
 origin, and every later origin only applies them. The median over the
 origins is therefore the warm per-origin cost; the first origin carries
-the preparation. Warm, the one-shot solve is the cheapest: it factors its
-11 808-row sparse constraint Gram once per batch and then costs two sparse
-triangular solves per origin. The alternating heuristic costs one pair of
-batched uni-dimensional projections per cycle: one cycle under weights
-that make it collapse, a few under variance-scaled ones. Expect a few
-seconds.
+the preparation. Warm, the one-shot solve is the cheapest. Once per batch
+it factors 324 temporal Grams of 24 × 24 and one cross-sectional Schur
+system of 144 rows, instead of an 11 808-row sparse constraint Gram; each
+origin then costs a few batched matrix products. Measured by hand on a
+2-core machine without memory tracing, `oct[wlsv]` prepares in ~30–60 ms
+and applies in ~0.4 ms per warm origin (the sparse LU took ~110 ms and
+~2.3 ms). The alternating heuristic costs one pair of batched
+uni-dimensional projections per cycle: one cycle under weights that make
+it collapse, a few under variance-scaled ones. Expect a few seconds.
 """
 
 from dataclasses import replace

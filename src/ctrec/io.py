@@ -356,8 +356,19 @@ def write_reports_jsonl(path, reports: Iterable[ReconcileReport], timings: bool 
 
 
 def read_reports_jsonl(path) -> list[dict]:
+    records = []
     with open_input(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: not valid JSON: {exc}")
+            if not isinstance(record, dict) or "method" not in record:
+                raise ValidationError(f"{path}:{lineno}: expected a report object")
+            records.append(record)
+    return records
 
 
 # -- evaluation tables -----------------------------------------------------------

@@ -5,9 +5,11 @@ which is cheaper depends on whether the summing map or the constraint set
 is smaller. ``structural_projector`` and ``zero_projector`` build one
 operator over a whole vector; ``batched_projector`` projects many short
 vectors at once, each under its own diagonal weight, and picks the smaller
-form itself. Operators keep their matrices factored — nothing is ever
-inverted explicitly. Dense materialization exists for test oracles and
-debugging only.
+form itself. ``cross_temporal_projector`` solves the combined projection by
+block elimination on top of the batched Gram stack. Operators keep their
+matrices factored; the one explicit inverse is that elimination's stack of
+small (m × m) temporal Gram inverses, which its Schur system is built
+from. Dense materialization exists for test oracles and debugging only.
 """
 
 from __future__ import annotations
@@ -298,6 +300,54 @@ def batched_projector(
         return project(X.reshape(X.shape[0], X.shape[1], -1)).reshape(X.shape)
 
     return apply
+
+
+def cross_temporal_projector(
+    cs: CrossSectionalStructure, te: TemporalStructure, weights: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Project an (n, q) block onto the cross-temporally coherent subspace
+    under the diagonal weight W = ``weights`` (an (n, q) cell table).
+
+    The same projection as ``zero_projector`` on the combined constraints,
+    solved by block elimination instead of one sparse factorization. A
+    coherent block has rows x_i = S b_i (S the temporal summing matrix,
+    b_i series i's m finest values) whose finest values meet the
+    cross-sectional constraints, H B = 0 with h_i column i of H. Each
+    series' temporal structural Gram G_i = Sᵀ W_i⁻¹ S (m × m) is factored
+    once, as one stack, and inverted; the multipliers μ (n_upper × m) of
+    the cross-sectional constraints solve one Schur system
+    T = Σ_i (h_i h_iᵀ) ⊗ G_i⁻¹ of n_upper·m rows. Per block:
+
+        r_i = Sᵀ W_i⁻¹ x_i,   b̃_i = G_i⁻¹ r_i   (the temporal step)
+        T vec(μ) = vec(H B̃),  b_i = G_i⁻¹ (r_i − μᵀ h_i),   x̂_i = S b_i.
+    """
+    S = te.summing_dense
+    H = cs.constraint_dense
+    W = np.asarray(weights, dtype=float)
+    n, m, u = cs.n_series, te.m, cs.n_upper
+    if W.shape != (n, te.n_positions):
+        raise ValidationError(f"weights of shape {W.shape} need {(n, te.n_positions)}")
+    if not np.all(np.isfinite(W)) or np.any(W <= 0):
+        raise ValidationError("weights must be positive and finite")
+    Wt = W.T[:, :1] if np.all(W == W[:1]) else W.T  # one row shared: one Gram
+    solve = _gram_stack_solver(S.T, 1.0 / Wt, "temporal structural Gram matrix")
+    G_inv = solve(np.broadcast_to(np.eye(m), (Wt.shape[1], m, m)))
+    # T[(a, s), (c, t)] = Σ_i H[a, i] H[c, i] G_i⁻¹[s, t], as one matrix product
+    # (one expression, so each temporary is freed as soon as it is used)
+    T = (
+        (H[:, None, :] * H[None, :, :]).reshape(u * u, n)
+        @ np.broadcast_to(G_inv.reshape(-1, m * m), (n, m * m))
+    ).reshape(u, u, m, m).transpose(0, 2, 1, 3).reshape(u * m, u * m)
+    solve_schur = sym_solver(T, "cross-sectional Schur complement")
+
+    def project(X):
+        R = (np.asarray(X, dtype=float) / W) @ S
+        B = np.matmul(G_inv, R[:, :, None])[:, :, 0]
+        mu = solve_schur((H @ B).ravel()).reshape(u, m)
+        B = np.matmul(G_inv, (R - H.T @ mu)[:, :, None])[:, :, 0]
+        return B @ S.T
+
+    return project
 
 
 def _gram_stack_solver(M: np.ndarray, W: np.ndarray, context: str):

@@ -40,12 +40,13 @@ from .hierarchy import (
     CrossTemporalStructure,
     TemporalStructure,
 )
-from .projection import (
-    DENSE_SOLVE_CUTOFF,
-    Projector,
-    batched_projector,
+from .projection import batched_projector, cross_temporal_projector
+
+# Unused here, but perfbench/child.py hooks these names in this module and
+# its traced run fails when one is missing.
+from .projection import (  # noqa: F401 - hooked by perfbench/child.py
     structural_projector,
-    sym_solver,  # noqa: F401 - unused here; perfbench/child.py patches this name
+    sym_solver,
     zero_projector,
 )
 
@@ -207,14 +208,15 @@ def _mean_projection(
     return batched_projector(structure, weights)(eye).mean(axis=1)
 
 
-def _oct_projector(ct: CrossTemporalStructure, sigma) -> Projector:
-    """One-shot combined projector: structural form for small blocks,
-    constraint form otherwise (never the batched kernel's size rule: the
-    combined constraint Gram is sparse)."""
-    diag = _cells(ct, sigma).ravel()
-    if ct.dim <= DENSE_SOLVE_CUTOFF:
-        return structural_projector(ct.full_summing("ct"), diag)
-    return zero_projector(ct.full_constraint("ct"), diag)
+def _oct_projector(
+    ct: CrossTemporalStructure, sigma
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The one-shot combined projection of a block, by block elimination:
+    one stack of per-series temporal Grams plus one cross-sectional Schur
+    system of n_upper·m rows (see ``cross_temporal_projector``). The
+    combined constraint Gram is never formed; ``zero_projector`` on
+    ``ct.full_constraint("ct")`` is the reference it is checked against."""
+    return cross_temporal_projector(ct.cs, ct.te, _cells(ct, sigma))
 
 
 def _ka_map(
@@ -242,8 +244,7 @@ def _build(kind: str, order: str, ct: CrossTemporalStructure, sigma_cs, sigma_te
     """The weight-dependent part of a method: the block map a one-shot
     method applies, or the (first, second) steps that ``ite`` alternates."""
     if kind == "oct":
-        projector = _oct_projector(ct, sigma_cs)
-        return lambda X: ct.devectorize(projector(ct.vectorize(X)))
+        return _oct_projector(ct, sigma_cs)
     if kind == "cs":
         return _cs_step(ct, sigma_cs)
     if kind == "te":

@@ -234,6 +234,19 @@ def test_evaluate_writes_tables(workdir):
     assert (evald / "trace.csv").exists()
 
 
+def test_evaluate_rejects_malformed_reports_with_exit_2(workdir, capsys):
+    sim = simulate(workdir)
+    reports = workdir / "bad.jsonl"
+    reports.write_text('{"method": "oct"}\nnot json\n')
+    code = run(
+        ["evaluate", "--hierarchy", workdir / "hier.txt", "--actuals", sim / "actuals.csv",
+         "--candidate", f"base={sim / 'base.csv'}", "--reports", reports,
+         "--out", workdir / "eval-bad"]
+    )
+    assert code == 2
+    assert "bad.jsonl:2" in capsys.readouterr().err
+
+
 def test_determinism_across_runs_and_thread_counts(workdir):
     sim_a = simulate(workdir, out="sim-a", seed=11)
     sim_b = simulate(workdir, out="sim-b", seed=11)
@@ -269,10 +282,13 @@ def test_batch_prepares_once_and_is_deterministic(workdir, monkeypatch):
 
         return count
 
-    for name in ("zero_projector", "structural_projector", "batched_projector"):
+    for name in (
+        "zero_projector", "structural_projector", "batched_projector",
+        "cross_temporal_projector",
+    ):
         monkeypatch.setattr(reconcile, name, counting(name))
     expected_calls = {
-        "oct": ["structural_projector"],  # 49 cells: the dense structural form
+        "oct": ["cross_temporal_projector"],  # never the combined sparse Gram
         "ite-tcs": ["batched_projector"] * 2,  # one temporal, one cross-sectional
     }
     for method, expected in expected_calls.items():

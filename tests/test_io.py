@@ -194,6 +194,16 @@ def test_reports_jsonl_round_trip_and_timings_toggle(tmp_path):
     assert json.loads(line) == record
 
 
+def test_reports_jsonl_rejects_a_non_json_line_naming_it(tmp_path):
+    path = tmp_path / "reports.jsonl"
+    path.write_text('{"method": "oct"}\n\nnot json\n')
+    with pytest.raises(ValidationError, match=r"reports\.jsonl:3: .*JSON"):
+        read_reports_jsonl(path)
+    path.write_text('{"method": "oct"}\n[1, 2]\n')
+    with pytest.raises(ValidationError, match=r"reports\.jsonl:2: expected a report"):
+        read_reports_jsonl(path)
+
+
 def test_report_dict_carries_delta_for_iterative():
     from ctrec.reconcile import reconcile_iterative
 

@@ -9,6 +9,7 @@ from ctrec.errors import NotPositiveDefiniteError, SingularSystemError, Validati
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.projection import (
     batched_projector,
+    cross_temporal_projector,
     structural_projector,
     sym_solver,
     zero_projector,
@@ -349,3 +350,91 @@ def test_pv324_constraint_gram_factor_fill_stays_small(monkeypatch):
     [(gram_nnz, factor_nnz)] = fills
     assert factor_nnz <= 2 * gram_nnz
     assert np.abs(ct.full_constraint("ct") @ y).max() <= 1e-9 * np.abs(x).max()
+
+
+# -- cross-temporal block elimination ------------------------------------------
+
+
+def _zero_reference(ct, W, X):
+    """The combined zero-constrained projection of block X under weight table W."""
+    out = zero_projector(ct.full_constraint("ct"), W.ravel())(X.ravel())
+    return out.reshape(X.shape)
+
+
+def _ct_cases():
+    rng = np.random.default_rng(30)
+    cases = [random_structure(rng, 16, 5, m_choices=(1, 2, 4, 12)) for _ in range(30)]
+    cases += [toy_ct((1,)), toy_ct((2, 1))]
+    # non-integer cross-sectional weights
+    agg = random_agg(rng, 3, 6) * rng.uniform(0.3, 2.5, size=(3, 6))
+    cases.append(build_ct(build_cs(agg), build_te([6, 3, 2, 1])))
+    # many uppers: as many constraints as bottoms, a 240-row Schur system
+    cases.append(build_ct(build_cs(random_agg(rng, 40, 40)), build_te([6, 3, 2, 1])))
+    return cases
+
+
+@pytest.mark.parametrize("ct", _ct_cases(), ids=lambda ct: f"{ct.n_series}x{ct.te.orders}")
+def test_cross_temporal_projector_matches_zero_constrained_reference(ct, monkeypatch):
+    # one stack of n temporal Grams (m x m) and one Schur system of
+    # n_upper·m rows are the only factorizations
+    shapes = []
+
+    def recording_solver(A, context):
+        shapes.append(A.shape)
+        return sym_solver(A, context)
+
+    monkeypatch.setattr(projection, "sym_solver", recording_solver)
+    rng = np.random.default_rng(ct.dim)
+    n, q, m, u = ct.n_series, ct.n_positions, ct.te.m, ct.cs.n_upper
+    W = rng.uniform(0.2, 5.0, size=(n, q))
+    X = rng.normal(size=(n, q)) * 10
+    out = cross_temporal_projector(ct.cs, ct.te, W)(X)
+    assert shapes == [(n, m, m), (u * m, u * m)]
+    expected = _zero_reference(ct, W, X)
+    assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
+    # a temporal weight row shared by every series needs one temporal Gram
+    shapes.clear()
+    shared = np.repeat(W[:1], n, axis=0)
+    out = cross_temporal_projector(ct.cs, ct.te, shared)(X)
+    assert shapes == [(m, m), (u * m, u * m)]
+    expected = _zero_reference(ct, shared, X)
+    assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_cross_temporal_projector_memory_scales_with_the_block_not_the_gram():
+    # pv324: the combined constraint Gram has 11 808 rows and 339k nonzeros,
+    # and sparse LU adds ~500k more outside the traced heap; block
+    # elimination holds the (n, m, q) scaled copies of the temporal summing
+    # matrix and the n Grams of m x m at most
+    import tracemalloc
+
+    ct = pv324_structure()
+    n, q, m = ct.n_series, ct.n_positions, ct.te.m
+    ct.te.summing_dense, ct.cs.constraint_dense  # cached before tracing
+    rng = np.random.default_rng(7)
+    W = rng.uniform(0.2, 5.0, size=(n, q))
+    X = rng.normal(size=(n, q)) * 100
+    tracemalloc.start()
+    try:
+        out = cross_temporal_projector(ct.cs, ct.te, W)(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * m * q * 8
+    assert max(ct.coherence_residuals(out)) <= 1e-9 * np.abs(out).max()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_cross_temporal_projector_rejects_non_positive_weights(bad):
+    from ctrec.reconcile import ForecastBlock, reconcile_oct
+
+    ct = toy_ct((4, 2, 1))
+    W = np.ones((ct.n_series, ct.n_positions))
+    W[1, 2] = bad
+    with pytest.raises(ValidationError, match="positive"):
+        cross_temporal_projector(ct.cs, ct.te, W)
+    block = ForecastBlock(np.ones((ct.n_series, ct.n_positions)), ct)
+    with pytest.raises(ValidationError, match="positive"):
+        reconcile_oct(block, W)
+    with pytest.raises(ValidationError, match="need"):
+        cross_temporal_projector(ct.cs, ct.te, np.ones((ct.n_positions, ct.n_series)))
