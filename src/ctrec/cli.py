@@ -29,7 +29,6 @@ from .reconcile import (
     sntz,
 )
 from .simulate import pv324_structure, simulate_dataset
-from .verify import run_all
 
 METHODS = RECONCILE_METHODS + ("bu", "pers-bu")
 
@@ -54,6 +53,7 @@ class RunConfig:
     reps: int = 1
     threads: int = 1
     timings: bool = False
+    memory: bool = False
     out: Path = Path(".")
 
 
@@ -79,7 +79,7 @@ def _strategy(config: RunConfig, ct: CrossTemporalStructure, residuals, historie
         sigma = CovarianceSpec(config.covariance, residuals=residuals).build(ct)
         reconcile = prepare(
             method, ct, sigma, delta=config.delta, max_iter=config.max_iter,
-            measure_memory=config.timings,
+            measure_memory=config.memory,
         )
     else:
         reconcile = _baseline(method, ct, histories)
@@ -129,7 +129,8 @@ def cmd_reconcile(config: RunConfig, input_path: Path, residuals_path, history_p
     config.out.mkdir(parents=True, exist_ok=True)
     io.write_blocks_csv(config.out / "reconciled.csv", [r.block for r in reports])
     io.write_reports_jsonl(
-        config.out / "reports.jsonl", reports, timings=config.timings
+        config.out / "reports.jsonl", reports, timings=config.timings,
+        memory=config.memory,
     )
     print(f"reconciled {len(reports)} origins -> {config.out}")
     if any("non-converged" in r.flags for r in reports):
@@ -198,7 +199,7 @@ def cmd_evaluate(
                     (record["method"], i, gap, record.get("delta", float("nan")))
                 )
         io.write_trace_csv(out / "trace.csv", rows)
-        if any("elapsed" in record for record in records):
+        if any("elapsed" in record or "peak_mem" in record for record in records):
             from .evaluate import perf_summary_from_records
 
             io.write_perf_csv(out / "perf.csv", perf_summary_from_records(records))
@@ -221,6 +222,8 @@ def _read_levels(path, ct: CrossTemporalStructure) -> tuple[str, ...]:
 
 
 def cmd_verify(config: RunConfig, instances) -> int:
+    from .verify import run_all  # the sparse reference path: scipy, only here
+
     results = run_all(seed=config.seed, instances=instances)
     for result in results:
         print(result.line())
@@ -239,7 +242,9 @@ def cmd_bench(config: RunConfig, methods: list[str], covariances: list[str], noi
     for cov in covariances:
         for method in methods:
             run = _strategy(
-                replace(config, method=method, covariance=cov, timings=True),
+                replace(
+                    config, method=method, covariance=cov, timings=True, memory=True
+                ),
                 ct, data.residuals, histories,
             )
             for block in data.bases:
@@ -288,8 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sntz", action="store_true",
                    help="clamp negative finest bottom values and rebuild")
     p.add_argument("--timings", action="store_true",
-                   help="include wall time and peak memory in reports.jsonl "
+                   help="include wall time in reports.jsonl "
                         "(off by default so equal runs are byte-identical)")
+    p.add_argument("--memory", action="store_true",
+                   help="trace allocations and include the peak in reports.jsonl; "
+                        "tracing slows the run, so take timings in another one")
 
     p = sub.add_parser("simulate", help="generate a synthetic experiment")
     common(p)
@@ -345,6 +353,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         reps=getattr(args, "reps", 1),
         threads=args.threads,
         timings=getattr(args, "timings", False),
+        memory=getattr(args, "memory", False),
         out=args.out,
     )
 

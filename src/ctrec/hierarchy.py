@@ -14,7 +14,10 @@ canonical layout used everywhere in this package:
 
 Summing and constraint matrices are built exactly, with integer-valued
 entries whenever the aggregation weights are integers, so identities such
-as ``constraint @ summing == 0`` hold exactly in floating point.
+as ``constraint @ summing == 0`` hold exactly in floating point. The dense
+forms (``summing_dense``, ``constraint_dense``) are what reconciliation
+uses; the sparse ones, and the expanded matrices of the full vector, serve
+the reference projections and import ``scipy.sparse`` when called.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import StructureError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Fail fast before allocating vectors longer than this (overridable per build).
 DEFAULT_SIZE_CAP = 1_000_000
@@ -68,6 +73,8 @@ class CrossSectionalStructure:
 
     def summing(self) -> sp.csr_matrix:
         """Map bottom values to all series: aggregation rows stacked over the identity."""
+        import scipy.sparse as sp
+
         return sp.vstack(
             [sp.csr_matrix(self.agg), sp.identity(self.n_bottom, format="csr")],
             format="csr",
@@ -75,6 +82,8 @@ class CrossSectionalStructure:
 
     def constraint(self) -> sp.csr_matrix:
         """Zero constraints: each upper value minus its weighted bottom sum."""
+        import scipy.sparse as sp
+
         return sp.hstack(
             [sp.identity(self.n_upper, format="csr"), sp.csr_matrix(-self.agg)],
             format="csr",
@@ -144,6 +153,8 @@ class TemporalStructure:
 
     def summing(self) -> sp.csr_matrix:
         """Map one cycle of finest values to all positions, coarsest block first."""
+        import scipy.sparse as sp
+
         blocks = [
             sp.kron(sp.identity(self.m // k), np.ones((1, k)), format="csr")
             for k in self.orders[:-1]
@@ -153,6 +164,8 @@ class TemporalStructure:
 
     def constraint(self) -> sp.csr_matrix:
         """Zero constraints: each aggregated value minus its finest-value sum."""
+        import scipy.sparse as sp
+
         agg_part = self.summing()[: self.k_star, :]
         return sp.hstack(
             [sp.identity(self.k_star, format="csr"), -agg_part], format="csr"
@@ -160,7 +173,8 @@ class TemporalStructure:
 
     @cached_property
     def summing_dense(self) -> np.ndarray:
-        return _readonly(self.summing().toarray())
+        blocks = [np.kron(np.eye(self.m // k), np.ones((1, k))) for k in self.orders[:-1]]
+        return _readonly(np.vstack(blocks + [np.eye(self.m)]))
 
     @cached_property
     def constraint_dense(self) -> np.ndarray:
@@ -224,6 +238,8 @@ class CrossTemporalStructure:
         cs: bottom-series blocks to all series; te: per-series finest values
         to all positions; ct: finest bottom values to everything.
         """
+        import scipy.sparse as sp
+
         if framework == "cs":
             return sp.kron(
                 self.cs.summing(), sp.identity(self.n_positions), format="csr"
@@ -241,6 +257,8 @@ class CrossTemporalStructure:
         highest-frequency slice over the per-series temporal constraints;
         together they imply coherence at every order.
         """
+        import scipy.sparse as sp
+
         if framework == "cs":
             return sp.kron(
                 self.cs.constraint(), sp.identity(self.n_positions), format="csr"
@@ -258,6 +276,8 @@ class CrossTemporalStructure:
 
     def _hf_selector(self) -> sp.csr_matrix:
         """Select highest-frequency entries of a canonical vector, position-major."""
+        import scipy.sparse as sp
+
         n, q, m = self.n_series, self.n_positions, self.te.m
         rows = np.arange(n * m)
         t, i = rows // n, rows % n
@@ -362,9 +382,11 @@ def build_ct(
 ) -> CrossTemporalStructure:
     """Combine the two structures, failing fast when the full vector is too big.
 
-    Materializes the combined constraint and summing maps once to verify
-    they annihilate each other (exactly for integer weights, to round-off
-    for real-valued ones).
+    Verifies that the combined constraint and summing maps annihilate each
+    other (exactly for integer weights, to round-off for real-valued ones),
+    factor by factor: the blocks of the combined product are
+    C_cs S_cs ⊗ I_m and S_cs ⊗ C_te S_te, so its largest entry is the
+    larger of max|C_cs S_cs| and max|S_cs|·max|C_te S_te|.
     """
     dim = cs.n_series * te.n_positions
     if dim > size_cap:
@@ -372,8 +394,9 @@ def build_ct(
             f"full vector length {dim} exceeds the size cap {size_cap}"
         )
     ct = CrossTemporalStructure(cs=cs, te=te, size_cap=size_cap)
-    product = ct.full_constraint("ct") @ ct.full_summing("ct")
-    residual = 0.0 if product.nnz == 0 else float(np.abs(product.data).max())
+    cs_part = np.abs(cs.constraint_dense @ cs.summing_dense).max(initial=0.0)
+    te_part = np.abs(te.constraint_dense @ te.summing_dense).max(initial=0.0)
+    residual = float(max(cs_part, np.abs(cs.summing_dense).max() * te_part))
     integral = bool(np.all(cs.agg == np.round(cs.agg)))
     tol = 0.0 if integral else 1e-10 * max(1.0, float(np.abs(cs.agg).max()))
     if residual > tol:

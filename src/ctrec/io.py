@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
+from io import StringIO
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -216,46 +217,97 @@ def _numbers(path, lineno: int, cells: list[str]) -> list[float]:
 
 
 def read_blocks_csv(path, ct: CrossTemporalStructure) -> list[ForecastBlock]:
-    """Read the wide format back into per-origin blocks, sorted by origin."""
+    """Read the wide format back into per-origin blocks, sorted by origin.
+
+    A well-formed file is parsed in one vectorized pass; anything irregular
+    is read again line by line, which names the file and line at fault.
+    """
+    with open_input(path) as fh:
+        text = fh.read()
+    values = _parse_blocks(text, ct)
+    if values is None:
+        values = _read_block_rows(path, text, ct)
+    blocks = [ForecastBlock(block, ct, origin) for origin, block in values]
+    if not blocks:
+        raise ValidationError(f"{path}: no data rows")
+    return blocks
+
+
+def _parse_blocks(text: str, ct: CrossTemporalStructure):
+    """(origin, block) pairs sorted by origin from a well-formed file, or
+    None when anything calls for the line reader: a quote, a bare carriage
+    return, a non-ASCII character, a short, unknown, duplicate or missing
+    row, or a cell numpy does not parse."""
+    if '"' in text or "\0" in text or not text.isascii():
+        return None
+    if text.count("\r") != text.count("\r\n"):  # a bare carriage return
+        return None
+    # a CRLF line keeps its "\r" in the values, where numpy reads it as the end
+    header, *lines = text.split("\n")
+    expected = ["origin", "series"] + position_labels(ct.te)
+    if header.removesuffix("\r").split(",") != expected:
+        return None
+    rows = [line.split(",", 2) for line in lines if line]
+    if not rows or any(len(row) != 3 for row in rows):
+        return None
+    origins, series, cells = zip(*rows)
+    if "" in cells or "\r" in cells:  # numpy would skip the line
+        return None
+    index = {label: i for i, label in enumerate(ct.cs.labels)}
+    if not set(series) <= index.keys():
+        return None
+    names = sorted(set(origins))
+    if len(rows) != len(names) * ct.n_series or len(set(zip(origins, series))) != len(rows):
+        return None  # a duplicate row, or an origin missing a series
+    try:
+        numbers = np.loadtxt(cells, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if numbers.shape != (len(rows), ct.n_positions):
+        return None
+    slot = {name: o for o, name in enumerate(names)}
+    out = np.empty((len(names), ct.n_series, ct.n_positions))
+    out[[slot[o] for o in origins], [index[s] for s in series]] = numbers
+    return list(zip(names, out))
+
+
+def _read_block_rows(path, text: str, ct: CrossTemporalStructure):
+    """The line reader: (origin, block) pairs sorted by origin, or a
+    ValidationError naming the first faulty line."""
     expected = position_labels(ct.te)
     index = {label: i for i, label in enumerate(ct.cs.labels)}
     per_origin: dict[str, np.ndarray] = {}
     seen: dict[str, set] = {}
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["origin", "series"]:
-            raise ValidationError(f"{path}: expected header origin,series,...")
-        if header[2:] != expected:
+    reader = csv.reader(StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or header[:2] != ["origin", "series"]:
+        raise ValidationError(f"{path}: expected header origin,series,...")
+    if header[2:] != expected:
+        raise ValidationError(
+            f"{path}: position columns {header[2:]} != canonical {expected}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        origin, series = _row_key(path, lineno, row, seen)
+        if series not in index:
+            raise ValidationError(f"{path}:{lineno}: unknown series {series!r}")
+        if len(row) != len(expected) + 2:
             raise ValidationError(
-                f"{path}: position columns {header[2:]} != canonical {expected}"
+                f"{path}:{lineno}: series {series!r} has {len(row) - 2} values, "
+                f"expected {len(expected)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            origin, series = _row_key(path, lineno, row, seen)
-            if series not in index:
-                raise ValidationError(f"{path}:{lineno}: unknown series {series!r}")
-            if len(row) != len(expected) + 2:
-                raise ValidationError(
-                    f"{path}:{lineno}: series {series!r} has {len(row) - 2} values, "
-                    f"expected {len(expected)}"
-                )
-            block = per_origin.setdefault(
-                origin, np.full((ct.n_series, ct.n_positions), np.nan)
-            )
-            block[index[series]] = _numbers(path, lineno, row[2:])
-    blocks = []
+        block = per_origin.setdefault(
+            origin, np.full((ct.n_series, ct.n_positions), np.nan)
+        )
+        block[index[series]] = _numbers(path, lineno, row[2:])
     for origin in sorted(per_origin):
         missing = set(ct.cs.labels) - seen[origin]
         if missing:
             raise ValidationError(
                 f"{path}: origin {origin} is missing series {sorted(missing)[:5]}"
             )
-        blocks.append(ForecastBlock(per_origin[origin], ct, origin))
-    if not blocks:
-        raise ValidationError(f"{path}: no data rows")
-    return blocks
+    return [(origin, per_origin[origin]) for origin in sorted(per_origin)]
 
 
 def write_residuals_csv(path, residuals: ResidualSet, ct: CrossTemporalStructure) -> None:
@@ -327,9 +379,12 @@ def read_history_csv(path, ct: CrossTemporalStructure) -> dict[str, np.ndarray]:
 # -- reports -------------------------------------------------------------------
 
 
-def report_dict(report: ReconcileReport, timings: bool = False) -> dict:
-    """JSON-ready view of a report. Timing/memory fields are opt-in so equal
-    configurations produce byte-identical streams."""
+def report_dict(
+    report: ReconcileReport, timings: bool = False, memory: bool = False
+) -> dict:
+    """JSON-ready view of a report. The wall time (``timings``) and peak
+    memory (``memory``) fields are opt-in so equal configurations produce
+    byte-identical streams."""
     out = {
         "origin": report.block.origin_id,
         "method": report.method,
@@ -344,14 +399,20 @@ def report_dict(report: ReconcileReport, timings: bool = False) -> dict:
         out["delta"] = report.delta
     if timings:
         out["elapsed"] = report.elapsed
+    if memory:
         out["peak_mem"] = report.peak_mem
     return out
 
 
-def write_reports_jsonl(path, reports: Iterable[ReconcileReport], timings: bool = False) -> None:
+def write_reports_jsonl(
+    path,
+    reports: Iterable[ReconcileReport],
+    timings: bool = False,
+    memory: bool = False,
+) -> None:
     with open(path, "w") as fh:
         for report in reports:
-            fh.write(json.dumps(report_dict(report, timings), sort_keys=True))
+            fh.write(json.dumps(report_dict(report, timings, memory), sort_keys=True))
             fh.write("\n")
 
 

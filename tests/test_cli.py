@@ -371,8 +371,59 @@ def test_bench_command_smoke(workdir, capsys):
         assert name in captured
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time and only the rank test needs it
+def test_cli_import_leaves_scipy_stats_unloaded(workdir):
+    # importing scipy is most of a reconcile process's cold start, and only
+    # verify, the sparse reference path, the rank test and Gram systems of
+    # more than INVERSE_CUTOFF rows need it: neither the import nor a
+    # reconcile run of oct or ite-tcs under wlsv may load any of it
+    sim = simulate(workdir)
     env = dict(os.environ, PYTHONPATH=str(Path(ctrec.__file__).parents[1]))
-    code = "import sys, ctrec.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = """if True:
+        import sys
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        import ctrec.cli
+        assert not scipy_modules(), ("import", scipy_modules())
+        for method in ("oct", "ite-tcs"):
+            code = ctrec.cli.main(["reconcile", *sys.argv[1:], "--method", method])
+            assert code == 0 and not scipy_modules(), (method, code, scipy_modules())
+    """
+    args = [
+        "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+        "--cov", "wlsv", "--residuals", sim / "residuals.csv",
+        "--out", workdir / "cold",
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (workdir / "cold" / "reconciled.csv").exists()
+
+
+def test_timings_measure_wall_time_without_tracing_memory(workdir, monkeypatch):
+    # --timings reports wall time only: tracemalloc would inflate it ~2x;
+    # --memory adds the traced peak; with neither the stream is unchanged
+    import tracemalloc
+
+    sim = simulate(workdir)
+    started = []
+    real_start = tracemalloc.start
+    monkeypatch.setattr(
+        tracemalloc, "start", lambda *a: started.append(1) or real_start(*a)
+    )
+    args = [
+        "reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+        "--method", "ite-tcs", "--cov", "wlsv", "--residuals", sim / "residuals.csv",
+    ]
+    streams = {}
+    for flags in ((), ("--timings",), ("--memory",), ("--timings", "--memory"), ()):
+        out = workdir / ("plain" if not flags else "-".join(flags).strip("-"))
+        assert run(args + list(flags) + ["--out", out]) == 0
+        records = read_reports_jsonl(out / "reports.jsonl")
+        assert all(("elapsed" in r) == ("--timings" in flags) for r in records)
+        assert all(("peak_mem" in r) == ("--memory" in flags) for r in records)
+        assert bool(started) == ("--memory" in flags)
+        started.clear()
+        streams.setdefault(flags, []).append((out / "reports.jsonl").read_bytes())
+    assert streams[()][0] == streams[()][1]

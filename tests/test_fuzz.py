@@ -6,6 +6,7 @@ Examples are derandomized so the suite stays deterministic.
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ctrec.io
 from ctrec.errors import ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.io import (
@@ -150,6 +152,106 @@ def test_blocks_and_residuals_csv_parse_or_raise_validation_error(scratch, heade
             read(path, CT)
         except ValidationError:
             pass
+
+
+# The vectorized reader against the line reader: a well-formed file with one
+# edit either parses to the same blocks on both, or fails with the same text.
+GOOD_ROWS = [
+    "0,tot,3.0,1.0,2.0", "0,a,1.0,0.5,0.5", "0,b,2.0,0.5,1.5",
+    "1,b,-2.5,-1.0,-1.5", "1,tot,1e-3,2.0,-1.999", "1,a,2.501,3.0,-0.5",
+]
+CELL = st.sampled_from(
+    ["1_0", " 1.5 ", "nan", "inf", "-0", "1e309", "", "x", "1,2", '"1"', "1#2",
+     "tot", "c", '"tot"', "t#ot", "\t2\t", "0x1", "١"]
+)
+EDIT_TEXT = st.one_of(
+    st.sampled_from(['"', "\r", "\n", "\r\n", ",", "#", " ", "_", "é"]),
+    st.text(alphabet=',\r\n" #._-0123456789abtoé', max_size=4),
+)
+
+
+def _file(rows, newline="\n"):
+    return newline.join([",".join(BLOCK_HEADER), *rows]) + newline
+
+
+def _with(row, index=1, rows=GOOD_ROWS):
+    """GOOD_ROWS with row ``index`` replaced (None drops it)."""
+    return rows[:index] + ([] if row is None else [row]) + rows[index + 1 :]
+
+
+@st.composite
+def edited_files(draw):
+    n_origins = draw(st.integers(1, 3))
+    values = draw(
+        arrays(float, (n_origins, CT.n_series, CT.n_positions),
+               elements=st.floats(-1e6, 1e6, allow_subnormal=False))
+    )
+    rows = draw(st.permutations([
+        ",".join([f"{o:04d}", label, *map(repr, values[o, i].tolist())])
+        for o in range(n_origins) for i, label in enumerate(CT.cs.labels)
+    ]))
+    k = draw(st.integers(0, len(rows) - 1))
+    edit = draw(st.sampled_from(["none", "drop", "repeat", "cell", "splice"]))
+    if edit == "drop":
+        del rows[k]
+    elif edit == "repeat":
+        rows.insert(k, rows[k])
+    elif edit == "cell":
+        cells = rows[k].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(CELL)
+        rows[k] = ",".join(cells)
+    text = _file(rows, draw(st.sampled_from(["\n", "\r\n"])))
+    if edit == "splice":
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(i + 3, len(text))))
+        text = text[:i] + draw(EDIT_TEXT) + text[j:]
+    return text
+
+
+def _outcome(path):
+    try:
+        return [(b.origin_id, b.values.tobytes()) for b in read_blocks_csv(path, CT)]
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(FUZZ, max_examples=300)
+@given(text=edited_files())
+@example(text=_file(GOOD_ROWS))
+@example(text=_file(GOOD_ROWS, "\r\n"))
+@example(text="\n" + _file(["", *GOOD_ROWS[:3], "", *GOOD_ROWS[3:], ""]))
+@example(text=_file(["", *GOOD_ROWS[:3], "", *GOOD_ROWS[3:], ""], "\r\n"))
+@example(text=_file(_with('"0",a,1.0,0.5,0.5')))  # a quoted key
+@example(text=_file([row.replace("0,", "0#", 1) for row in GOOD_ROWS]))  # '#' in a key
+@example(text=_file(_with("0,t#ot,3.0,1.0,2.0", 0)))
+@example(text=_file(_with("0,a,1_0,0.5,0.5")))
+@example(text=_file(_with("0,a, 1.5 ,0.5,0.5")))
+@example(text=_file(_with("0,a,nan,0.5,0.5")))
+@example(text=_file(_with("0,a,1.0,inf,0.5")))
+@example(text=_file(_with("0,a,1.0,0.5,0.5,9.0")))  # one cell too many
+@example(text=_file(_with("0,a,1.0,0.5")))  # one cell too few
+@example(text=_file(_with("0,b,2.0,0.5,1.5")))  # a duplicate series
+@example(text=_file(_with("0,c,1.0,0.5,0.5")))  # an unknown series
+@example(text=_file(_with(None)))  # a missing series
+@example(text=_file(_with("0,a,1.0\r0.5,0.5")))  # a bare carriage return
+def test_vectorized_reader_matches_the_line_reader(scratch, text):
+    path = scratch / "edited.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(ctrec.io, "_parse_blocks", return_value=None):
+        expected = _outcome(path)
+    assert _outcome(path) == expected
+
+
+def test_vectorized_reader_takes_well_formed_files():
+    # LF or CRLF endings and blank lines stay on the vectorized path
+    for text in (
+        _file(GOOD_ROWS),
+        _file(GOOD_ROWS, "\r\n"),
+        _file(["", *GOOD_ROWS[:3], "", *GOOD_ROWS[3:], ""]),
+    ):
+        pairs = ctrec.io._parse_blocks(text, CT)
+        assert [origin for origin, _ in pairs] == ["0", "1"]
+        assert pairs[0][1][0].tolist() == [3.0, 1.0, 2.0]
 
 
 @FUZZ

@@ -181,6 +181,34 @@ def test_constraint_times_summing_is_exactly_zero():
             assert np.array_equal(prod, np.zeros_like(prod)), fw
 
 
+def test_dense_forms_match_the_sparse_builders():
+    for orders in ([1], [2, 1], [12, 6, 4, 3, 2, 1], [24, 12, 8, 6, 4, 3, 2, 1]):
+        te = build_te(orders)
+        assert np.array_equal(te.summing_dense, te.summing().toarray())
+        assert np.array_equal(te.constraint_dense, te.constraint().toarray())
+    cs = toy_ct().cs
+    assert np.array_equal(cs.constraint_dense, cs.constraint().toarray())
+
+
+@pytest.mark.parametrize("part", ["cs", "te"])
+def test_build_ct_rejects_a_corrupted_constraint_factor(part):
+    # build_ct checks C_cs S_cs = 0 and C_te S_te = 0, the two factors of
+    # the combined product; a cached constraint that no longer annihilates
+    # its summing matrix is caught in either
+    cs = build_cs(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+    te = build_te([4, 2, 1])
+    build_ct(cs, te)
+    structure = cs if part == "cs" else te
+    bad = np.array(structure.constraint_dense)
+    bad[0, -1] += 0.5
+    structure.__dict__["constraint_dense"] = bad
+    with pytest.raises(
+        StructureError,
+        match=r"combined constraints do not annihilate the summing map \(residual 5\.000e-01\)",
+    ):
+        build_ct(cs, te)
+
+
 def test_ct_summing_rank_matches_dense_oracle():
     rng = np.random.default_rng(3)
     for _ in range(5):

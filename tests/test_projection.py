@@ -266,6 +266,42 @@ def test_sym_solver_stack_names_failing_member():
         sym_solver(np.stack([nearly, good]), "stack")
 
 
+def test_sym_solver_names_a_singular_member_that_passes_cholesky():
+    # round-off lets Cholesky through [[2, 2], [2, 2]] (last pivot ~2e-8);
+    # its inverse does not exist, and the member is named
+    singular = np.full((2, 2), 2.0)
+    np.linalg.cholesky(singular)
+    with pytest.raises(SingularSystemError, match="column 1"):
+        sym_solver(np.stack([np.eye(2), singular, np.eye(2)]), "stack")
+    with pytest.raises(SingularSystemError) as err:
+        sym_solver(singular, "Gram")
+    assert err.value.condition is None or err.value.condition > 1e12
+
+
+def test_sym_solver_cholesky_branch_matches_the_inverse_just_above_the_cutoff(
+    monkeypatch,
+):
+    r = projection.INVERSE_CUTOFF + 1
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(r, 2 * r))
+    A = X @ X.T / r + np.eye(r)
+    b = rng.normal(size=(r, 3))
+    branches = []
+    real = projection._cholesky_solver
+
+    def recording(A, context):
+        branches.append(A.shape)
+        return real(A, context)
+
+    monkeypatch.setattr(projection, "_cholesky_solver", recording)
+    by_factor = sym_solver(A, "large Gram")(b)
+    assert branches == [(r, r)]
+    monkeypatch.setattr(projection, "INVERSE_CUTOFF", r)
+    by_inverse = sym_solver(A, "large Gram")(b)
+    assert branches == [(r, r)]
+    assert np.linalg.norm(by_factor - by_inverse) <= 1e-12 * np.linalg.norm(by_inverse)
+
+
 # -- averaged projectors ---------------------------------------------------
 
 
@@ -307,15 +343,17 @@ def test_averaged_pv324_shape_smoke():
 
 def _recording_splu(monkeypatch):
     """Patch splu to record (Gram nnz, factor nnz) of every sparse factorization."""
+    import scipy.sparse.linalg as spla  # projection imports it when it factors
+
     fills = []
-    real_splu = projection.spla.splu
+    real_splu = spla.splu
 
     def splu(G, **kwargs):
         lu = real_splu(G, **kwargs)
         fills.append((G.nnz, lu.L.nnz + lu.U.nnz))
         return lu
 
-    monkeypatch.setattr(projection.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     return fills
 
 
@@ -399,6 +437,30 @@ def test_cross_temporal_projector_matches_zero_constrained_reference(ct, monkeyp
     assert shapes == [(m, m), (u * m, u * m)]
     expected = _zero_reference(ct, shared, X)
     assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_cross_temporal_projector_with_floored_variances_matches_reference():
+    # pv324 under wlsv with 20 bottom series whose residuals are all zero:
+    # their 160 (series, order) variances sit at the floor, 1e-12 of the
+    # largest, so those weights are ~1e12 times smaller than the rest
+    from ctrec.covariance import ResidualSet, sigma_wlsv
+    from ctrec.reconcile import ForecastBlock, reconcile_iterative, reconcile_oct
+
+    ct = pv324_structure()
+    rng = np.random.default_rng(12)
+    residuals = rng.normal(size=(4, ct.n_series, ct.n_positions))
+    residuals[:, ct.cs.n_upper : ct.cs.n_upper + 20] = 0.0
+    sigma = sigma_wlsv(ct, ResidualSet(residuals))
+    assert len(sigma.floored) >= 100
+    block = ForecastBlock(rng.normal(size=(ct.n_series, ct.n_positions)) * 10, ct)
+    out = reconcile_oct(block, sigma).block.values
+    expected = _zero_reference(ct, sigma.cells(), block.values)
+    assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
+    # the alternating heuristic still converges to the same point
+    scale = max(1.0, np.linalg.norm(block.values))
+    ite = reconcile_iterative(block, sigma, sigma, order="tcs", delta=1e-10, max_iter=5000)
+    assert ite.converged and "variance-floor" in ite.flags
+    assert np.linalg.norm(ite.block.values - out) <= 10 * 1e-10 * scale
 
 
 def test_cross_temporal_projector_memory_scales_with_the_block_not_the_gram():
