@@ -6,7 +6,6 @@ subspace with one-shot, sequential, averaged, or alternating strategies.
 """
 
 from .covariance import (
-    CovarianceSpec,
     DiagonalSigma,
     ResidualSet,
     build_sigma,
@@ -66,7 +65,6 @@ from .simulate import pv324_structure, random_structure, simulate_dataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceSpec",
     "CrossSectionalStructure",
     "CrossTemporalStructure",
     "DiagonalSigma",

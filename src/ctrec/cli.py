@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import io
-from .covariance import CovarianceSpec
+from .covariance import COVARIANCE_NAMES, build_sigma
 from .errors import NumericalError, ReconciliationError, ValidationError
 from .evaluate import EvalFrame, mcb_nemenyi, nrmse_table, perf_summary
 from .hierarchy import CrossTemporalStructure, build_cs, build_ct, build_te
@@ -76,7 +76,7 @@ def _strategy(config: RunConfig, ct: CrossTemporalStructure, residuals, historie
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
     if method in RECONCILE_METHODS:
-        sigma = CovarianceSpec(config.covariance, residuals=residuals).build(ct)
+        sigma = build_sigma(config.covariance, ct, residuals)
         reconcile = prepare(
             method, ct, sigma, delta=config.delta, max_iter=config.max_iter,
             measure_memory=config.memory,
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, required=True, help="base forecasts CSV")
     p.add_argument("--method", default="oct", choices=METHODS)
     p.add_argument("--cov", default="ols",
-                   choices=("ols", "str", "str-cs", "str-te", "wlsv"))
+                   choices=[name.replace("_", "-") for name in COVARIANCE_NAMES])
     p.add_argument("--residuals", type=Path, default=None,
                    help="residual CSV (required for wlsv)")
     p.add_argument("--history", type=Path, default=None,

@@ -12,7 +12,6 @@ converges to the one-shot solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -48,21 +47,6 @@ class ResidualSet:
         blocks = blocks.copy()
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "ResidualSet":
-        return cls(np.stack([np.asarray(b, dtype=float) for b in blocks]))
-
-    @classmethod
-    def from_stacked(cls, stacked: np.ndarray, n_series: int) -> "ResidualSet":
-        """Split a long matrix of vertically stacked origin blocks."""
-        stacked = np.asarray(stacked, dtype=float)
-        if stacked.ndim != 2 or stacked.shape[0] % n_series != 0:
-            raise ValidationError(
-                f"stacked residual shape {stacked.shape} does not split into "
-                f"blocks of {n_series} rows"
-            )
-        return cls(stacked.reshape(-1, n_series, stacked.shape[1]))
 
     @property
     def n_origins(self) -> int:
@@ -127,19 +111,13 @@ def sigma_str(ct: CrossTemporalStructure, variant: str = "ct") -> DiagonalSigma:
     return DiagonalSigma(ct, diag, name=name)
 
 
-def sigma_wlsv(
-    ct: CrossTemporalStructure,
-    residuals: ResidualSet,
-    floor: float = DEFAULT_VARIANCE_FLOOR,
-    center: bool = False,
-) -> DiagonalSigma:
+def sigma_wlsv(ct: CrossTemporalStructure, residuals: ResidualSet) -> DiagonalSigma:
     """Series variance scaling: pooled per-(series, order) residual variances.
 
     For each series and each aggregation order, the variance pools the
     squared residuals over all origins and all positions of that order,
-    dividing by the count (zero-mean convention; set ``center=True`` to
-    subtract the pooled mean first). Degenerate cells are lifted to
-    ``floor`` times the largest cell and flagged.
+    dividing by the count (zero-mean convention). Degenerate cells are
+    lifted to DEFAULT_VARIANCE_FLOOR times the largest cell and flagged.
     """
     blocks = residuals.blocks
     if blocks.shape[1:] != (ct.n_series, ct.n_positions):
@@ -149,15 +127,12 @@ def sigma_wlsv(
         )
     cells = np.empty((ct.n_series, ct.n_positions))
     floored = []
-    by_order = {}
-    for k in ct.te.orders:
-        cols = ct.te.order_slice(k)
-        pool = blocks[:, :, cols]
-        if center:
-            pool = pool - pool.mean(axis=(0, 2), keepdims=True)
-        by_order[k] = (pool**2).mean(axis=(0, 2))
+    by_order = {
+        k: (blocks[:, :, ct.te.order_slice(k)] ** 2).mean(axis=(0, 2))
+        for k in ct.te.orders
+    }
     top = max(v.max() for v in by_order.values())
-    eps = floor * (top if top > 0 else 1.0)
+    eps = DEFAULT_VARIANCE_FLOOR * (top if top > 0 else 1.0)
     for k, variances in by_order.items():
         low = variances < eps
         if low.any():
@@ -189,19 +164,3 @@ def build_sigma(
         return sigma_wlsv(ct, residuals)
     raise ValidationError(f"unknown covariance {name!r}; choose from {COVARIANCE_NAMES}")
 
-
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """A named covariance construction rule bound to an optional residual set."""
-
-    name: str
-    residuals: ResidualSet | None = None
-
-    def __post_init__(self):
-        if self.name not in COVARIANCE_NAMES:
-            raise ValidationError(
-                f"unknown covariance {self.name!r}; choose from {COVARIANCE_NAMES}"
-            )
-
-    def build(self, ct: CrossTemporalStructure) -> DiagonalSigma:
-        return build_sigma(self.name, ct, self.residuals)

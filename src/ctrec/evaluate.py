@@ -111,9 +111,6 @@ class NrmseTable:
     baseline: str | None = None
     flagged: frozenset[tuple[str, str, int]] = frozenset()
 
-    def value(self, level: str, candidate: str, order: int) -> float:
-        return self.values[(level, candidate, order)]
-
     def rows(self):
         for level in self.levels:
             for candidate in self.candidates:

@@ -44,6 +44,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sparse(a: np.ndarray) -> sp.csr_matrix:
+    """A dense operator's sparse form, for the reference projections."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix(a)
+
+
 @dataclass(frozen=True)
 class CrossSectionalStructure:
     """Linear aggregation constraints among the series of a hierarchy.
@@ -71,31 +78,21 @@ class CrossSectionalStructure:
     def n_series(self) -> int:
         return self.n_upper + self.n_bottom
 
-    def summing(self) -> sp.csr_matrix:
-        """Map bottom values to all series: aggregation rows stacked over the identity."""
-        import scipy.sparse as sp
-
-        return sp.vstack(
-            [sp.csr_matrix(self.agg), sp.identity(self.n_bottom, format="csr")],
-            format="csr",
-        )
-
-    def constraint(self) -> sp.csr_matrix:
-        """Zero constraints: each upper value minus its weighted bottom sum."""
-        import scipy.sparse as sp
-
-        return sp.hstack(
-            [sp.identity(self.n_upper, format="csr"), sp.csr_matrix(-self.agg)],
-            format="csr",
-        )
-
     @cached_property
     def summing_dense(self) -> np.ndarray:
+        """Map bottom values to all series: aggregation rows stacked over the identity."""
         return _readonly(np.vstack([self.agg, np.eye(self.n_bottom)]))
 
     @cached_property
     def constraint_dense(self) -> np.ndarray:
+        """Zero constraints: each upper value minus its weighted bottom sum."""
         return _readonly(np.hstack([np.eye(self.n_upper), -self.agg]))
+
+    def summing(self) -> sp.csr_matrix:
+        return _sparse(self.summing_dense)
+
+    def constraint(self) -> sp.csr_matrix:
+        return _sparse(self.constraint_dense)
 
     @property
     def row_sums(self) -> np.ndarray:
@@ -114,7 +111,6 @@ class TemporalStructure:
     """
 
     orders: tuple[int, ...]
-    one_added: bool = False
 
     @property
     def m(self) -> int:
@@ -123,10 +119,6 @@ class TemporalStructure:
     @property
     def k_star(self) -> int:
         return sum(self.m // k for k in self.orders[:-1])
-
-    @property
-    def n_orders(self) -> int:
-        return len(self.orders)
 
     @property
     def n_positions(self) -> int:
@@ -151,35 +143,23 @@ class TemporalStructure:
         """Column range of the highest-frequency (order 1) values."""
         return slice(self.k_star, self.n_positions)
 
-    def summing(self) -> sp.csr_matrix:
-        """Map one cycle of finest values to all positions, coarsest block first."""
-        import scipy.sparse as sp
-
-        blocks = [
-            sp.kron(sp.identity(self.m // k), np.ones((1, k)), format="csr")
-            for k in self.orders[:-1]
-        ]
-        blocks.append(sp.identity(self.m, format="csr"))
-        return sp.vstack(blocks, format="csr")
-
-    def constraint(self) -> sp.csr_matrix:
-        """Zero constraints: each aggregated value minus its finest-value sum."""
-        import scipy.sparse as sp
-
-        agg_part = self.summing()[: self.k_star, :]
-        return sp.hstack(
-            [sp.identity(self.k_star, format="csr"), -agg_part], format="csr"
-        )
-
     @cached_property
     def summing_dense(self) -> np.ndarray:
+        """Map one cycle of finest values to all positions, coarsest block first."""
         blocks = [np.kron(np.eye(self.m // k), np.ones((1, k))) for k in self.orders[:-1]]
         return _readonly(np.vstack(blocks + [np.eye(self.m)]))
 
     @cached_property
     def constraint_dense(self) -> np.ndarray:
+        """Zero constraints: each aggregated value minus its finest-value sum."""
         k = self.k_star
         return _readonly(np.hstack([np.eye(k), -self.summing_dense[:k]]))
+
+    def summing(self) -> sp.csr_matrix:
+        return _sparse(self.summing_dense)
+
+    def constraint(self) -> sp.csr_matrix:
+        return _sparse(self.constraint_dense)
 
     @property
     def row_sums(self) -> np.ndarray:
@@ -222,13 +202,6 @@ class CrossTemporalStructure:
                 f"block shape {X.shape} != ({self.n_series}, {self.n_positions})"
             )
         return X.ravel()
-
-    def devectorize(self, x: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`vectorize`."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise StructureError(f"vector length {x.shape} != ({self.dim},)")
-        return x.reshape(self.n_series, self.n_positions)
 
     # -- expanded matrices --------------------------------------------------
 
@@ -364,15 +337,14 @@ def build_te(orders: Sequence[int]) -> TemporalStructure:
         raise StructureError("no aggregation orders given")
     if uniq[-1] < 1:
         raise StructureError(f"orders must be >= 1, got {uniq[-1]}")
-    one_added = uniq[-1] != 1
-    if one_added:
+    if uniq[-1] != 1:
         warnings.warn("order 1 missing from the temporal grid; added automatically")
         uniq.append(1)
     m = uniq[0]
     bad = [k for k in uniq if m % k != 0]
     if bad:
         raise StructureError(f"orders {bad} do not divide the largest order {m}")
-    return TemporalStructure(orders=tuple(uniq), one_added=one_added)
+    return TemporalStructure(orders=tuple(uniq))
 
 
 def build_ct(

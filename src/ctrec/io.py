@@ -177,20 +177,28 @@ def write_hierarchy_file(path, ct: CrossTemporalStructure) -> None:
 # -- forecast and residual CSVs ----------------------------------------------
 
 
+def _write_keyed_csv(path, columns: list[str], labels, tables) -> None:
+    """A wide CSV with one row per (origin, series): ``tables`` yields
+    (origin, array) pairs whose row i holds series ``labels[i]``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["origin", "series", *columns])
+        for origin, table in tables:
+            writer.writerows(
+                [origin, label, *map(repr, row.tolist())]
+                for label, row in zip(labels, np.asarray(table, dtype=float))
+            )
+
+
 def write_blocks_csv(path, blocks: Sequence[ForecastBlock]) -> None:
     """Wide format, one row per (origin, series), canonical column order."""
     if not blocks:
         raise ValidationError("no blocks to write")
     ct = blocks[0].structure
-    header = ["origin", "series"] + position_labels(ct.te)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for block in blocks:
-            for i, label in enumerate(ct.cs.labels):
-                writer.writerow(
-                    [block.origin_id, label] + [_fmt(v) for v in block.values[i]]
-                )
+    _write_keyed_csv(
+        path, position_labels(ct.te), ct.cs.labels,
+        ((b.origin_id, b.values) for b in blocks),
+    )
 
 
 def _row_key(
@@ -312,15 +320,10 @@ def _read_block_rows(path, text: str, ct: CrossTemporalStructure):
 
 def write_residuals_csv(path, residuals: ResidualSet, ct: CrossTemporalStructure) -> None:
     """One row per (origin, series); origins are insertion-numbered."""
-    header = ["origin", "series"] + position_labels(ct.te)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for o in range(residuals.n_origins):
-            for i, label in enumerate(ct.cs.labels):
-                writer.writerow(
-                    [f"{o:04d}", label] + [_fmt(v) for v in residuals.blocks[o, i]]
-                )
+    _write_keyed_csv(
+        path, position_labels(ct.te), ct.cs.labels,
+        ((f"{o:04d}", block) for o, block in enumerate(residuals.blocks)),
+    )
 
 
 def read_residuals_csv(path, ct: CrossTemporalStructure) -> ResidualSet:
@@ -330,15 +333,10 @@ def read_residuals_csv(path, ct: CrossTemporalStructure) -> ResidualSet:
 
 def write_history_csv(path, histories: np.ndarray, ct: CrossTemporalStructure) -> None:
     """Previous-cycle bottom observations: one row per (origin, bottom series)."""
-    m = ct.te.m
-    header = ["origin", "series"] + [f"h{t + 1}" for t in range(m)]
-    bottoms = ct.cs.labels[ct.cs.n_upper :]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for o in range(histories.shape[0]):
-            for i, label in enumerate(bottoms):
-                writer.writerow([f"{o:04d}", label] + [_fmt(v) for v in histories[o, i]])
+    _write_keyed_csv(
+        path, [f"h{t + 1}" for t in range(ct.te.m)], ct.cs.labels[ct.cs.n_upper :],
+        ((f"{o:04d}", hist) for o, hist in enumerate(histories)),
+    )
 
 
 def read_history_csv(path, ct: CrossTemporalStructure) -> dict[str, np.ndarray]:

@@ -31,8 +31,9 @@ from .hierarchy import CrossSectionalStructure, TemporalStructure
 DENSE_SOLVE_CUTOFF = 800
 # Refuse dense materialization beyond this dimension.
 DENSE_MATERIALIZE_CAP = 2048
-# Cholesky fallback: accept a pivoted factorization when the most negative
-# eigenvalue is within this relative tolerance of zero.
+# A matrix that fails its Cholesky factorization is reported as not
+# positive definite when its smallest eigenvalue is below -PIVOT_FALLBACK_TOL
+# times its scale, and as singular otherwise.
 PIVOT_FALLBACK_TOL = 1e-10
 # A 2-d system of more rows than this keeps a Cholesky factor (scipy's
 # potrf/pocon/potrs) instead of an explicit inverse. The inverse takes
@@ -61,27 +62,25 @@ def sigma_diagonal(sigma) -> np.ndarray | None:
 RCOND_FLOOR = 1e-14
 
 
-def _raise_singular(A: np.ndarray, context: str, rcond: float):
-    eigs = np.linalg.eigvalsh(A)
-    scale = max(abs(eigs[0]), abs(eigs[-1]), 1.0)
-    raise SingularSystemError(
-        f"{context} is singular to working precision",
-        deficiency=int(np.sum(eigs <= PIVOT_FALLBACK_TOL * scale)),
-        condition=float(1.0 / rcond) if rcond > 0 else np.inf,
-    )
-
-
-def _check_semidefinite(A: np.ndarray, context: str) -> None:
-    """Raise for a matrix whose Cholesky failed, unless it misses positive
-    definiteness by less than PIVOT_FALLBACK_TOL and is not singular."""
+def _raise_failed(A: np.ndarray, context: str, rcond: float | None = None):
+    """Raise for a matrix that failed its factorization or its condition
+    vetting: NotPositiveDefiniteError when its smallest eigenvalue is below
+    −PIVOT_FALLBACK_TOL·scale, SingularSystemError otherwise, with the rank
+    deficiency count and the condition (1/``rcond``, else from the
+    eigenvalues)."""
     eigs = np.linalg.eigvalsh(A)
     scale = max(abs(eigs[0]), abs(eigs[-1]), 1.0)
     if eigs[0] < -PIVOT_FALLBACK_TOL * scale:
         raise NotPositiveDefiniteError(
             f"{context} is not positive definite (min eigenvalue {eigs[0]:.3e})"
         )
-    if eigs[0] <= np.finfo(float).eps * scale:
-        _raise_singular(A, context, float(eigs[0] / scale))
+    if rcond is None:
+        rcond = float(eigs[0] / scale)
+    raise SingularSystemError(
+        f"{context} is singular to working precision",
+        deficiency=int(np.sum(eigs <= PIVOT_FALLBACK_TOL * scale)),
+        condition=float(1.0 / rcond) if rcond > 0 else np.inf,
+    )
 
 
 def sym_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -93,10 +92,8 @@ def sym_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray
     member per matrix. Every member is vetted by its exact 1-norm
     reciprocal condition 1/(‖A‖₁‖A⁻¹‖₁) against RCOND_FLOOR. A larger
     matrix keeps a Cholesky factor, vetted by LAPACK's condition estimate.
-    A matrix that misses positive definiteness by less than
-    PIVOT_FALLBACK_TOL (near-singular variance-scaled systems) is solved by
-    a pivoted LU; otherwise a failure raises, with a condition estimate and
-    rank deficiency count, naming the stack member as "column j".
+    A failed factorization or vetting raises (see ``_raise_failed``),
+    naming the stack member as "column j".
     """
     if A.ndim == 2:
         if A.shape[0] > INVERSE_CUTOFF:
@@ -122,19 +119,14 @@ def _inverses(A: np.ndarray, names: list[str]) -> np.ndarray:
         np.linalg.cholesky(A)
         inverses = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        if len(A) > 1:  # find the member at fault; the others go through alone
+        if len(A) > 1:  # find the member at fault
             return np.stack([_inverses(a[None], [name])[0] for a, name in zip(A, names)])
         # Cholesky failed, or succeeded on an exactly singular matrix
-        (a,), (name,) = A, names
-        _check_semidefinite(a, name)
-        try:
-            return np.linalg.solve(a, np.eye(len(a)))[None]  # pivoted LU
-        except np.linalg.LinAlgError:
-            _raise_singular(a, name, 0.0)
+        _raise_failed(A[0], names[0])
     rcond = 1.0 / (_norm1(A) * _norm1(inverses))
     bad = np.flatnonzero(~(rcond >= RCOND_FLOOR))  # NaN fails too
     if bad.size:
-        _raise_singular(A[bad[0]], names[bad[0]], float(rcond[bad[0]]))
+        _raise_failed(A[bad[0]], names[bad[0]], float(rcond[bad[0]]))
     return inverses
 
 
@@ -149,14 +141,12 @@ def _cholesky_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.n
     try:
         c = sla.cho_factor(A, check_finite=False)
     except sla.LinAlgError:
-        _check_semidefinite(A, context)
-        lu = sla.lu_factor(A, check_finite=False)
-        return lambda b: sla.lu_solve(lu, b, check_finite=False)
+        _raise_failed(A, context)
     # Cholesky can succeed on a numerically singular matrix; vet the factor.
     pocon, potrs = sla.get_lapack_funcs(("pocon", "potrs"), (A,))
     rcond, _ = pocon(c[0], np.linalg.norm(A, 1), uplo=b"L" if c[1] else b"U")
     if rcond < RCOND_FLOOR:
-        _raise_singular(A, context, float(rcond))
+        _raise_failed(A, context, float(rcond))
     return lambda b: potrs(c[0], b, lower=c[1])[0]
 
 

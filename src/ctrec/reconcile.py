@@ -52,7 +52,6 @@ from .projection import (  # noqa: F401 - hooked by perfbench/child.py
 
 ITERATIVE_DEFAULT_DELTA = 1e-6
 ITERATIVE_DEFAULT_MAX_ITER = 100
-STOP_CRITERIA = ("fixed_point", "frobenius", "incoherence")
 METHODS = (
     "cs", "te", "oct", "seq-cst", "seq-tcs", "ka-cst", "ka-tcs", "ite-cst", "ite-tcs",
 )
@@ -82,12 +81,6 @@ class ForecastBlock:
     @property
     def vector(self) -> np.ndarray:
         return self.structure.vectorize(self.values)
-
-    @classmethod
-    def from_vector(
-        cls, x: np.ndarray, structure: CrossTemporalStructure, origin_id: str = "0"
-    ) -> "ForecastBlock":
-        return cls(structure.devectorize(x), structure, origin_id)
 
     def with_values(self, values: np.ndarray) -> "ForecastBlock":
         return ForecastBlock(values, self.structure, self.origin_id)
@@ -258,8 +251,10 @@ def _build(kind: str, order: str, ct: CrossTemporalStructure, sigma_cs, sigma_te
     return first, second
 
 
-def _alternate(first, second, x0, ct, delta, max_iter, criterion, keep_iterates):
-    """Apply ``first`` then ``second`` per cycle until ``criterion`` holds.
+def _alternate(first, second, x0, delta, max_iter, keep_iterates):
+    """Apply ``first`` then ``second`` per cycle until the next half-step
+    would move the iterate by at most ``delta * max(1, ||x||_F)``; that
+    half-step starts the next cycle.
 
     Returns the last iterate, the Frobenius change of every cycle, whether
     it converged, and the iterates when kept (else None).
@@ -273,22 +268,13 @@ def _alternate(first, second, x0, ct, delta, max_iter, criterion, keep_iterates)
         trace.append(float(np.linalg.norm(current - previous)))
         if keep_iterates:
             iterates.append(current.copy())
-        if criterion == "fixed_point":  # the next half-step is reused if needed
-            half = first(current)
-            converged = float(np.linalg.norm(half - current)) <= delta * max(
-                1.0, float(np.linalg.norm(current))
-            )
-        elif criterion == "frobenius":
-            converged = trace[-1] <= delta * max(1.0, float(np.linalg.norm(previous)))
-        else:
-            converged = max(ct.coherence_residuals(current)) <= delta * max(
-                1.0, float(np.abs(current).max())
-            )
+        half = first(current)
+        converged = float(np.linalg.norm(half - current)) <= delta * max(
+            1.0, float(np.linalg.norm(current))
+        )
         previous = current
         if converged:
             break
-        if criterion != "fixed_point":
-            half = first(current)
     return previous, trace, converged, iterates if keep_iterates else None
 
 
@@ -300,7 +286,6 @@ def prepare(
     *,
     delta: float = ITERATIVE_DEFAULT_DELTA,
     max_iter: int = ITERATIVE_DEFAULT_MAX_ITER,
-    criterion: str = "fixed_point",
     keep_iterates: bool = False,
     measure_memory: bool = False,
 ) -> Callable[[ForecastBlock], ReconcileReport]:
@@ -312,8 +297,8 @@ def prepare(
     averaged matrix — is built once, on the first call, under a lock so
     that concurrent origins share it; every call then applies it to its
     own block. The first report's ``elapsed`` carries that preparation.
-    ``delta``, ``max_iter``, ``criterion`` and ``keep_iterates`` concern
-    the ``ite-*`` methods only (see ``reconcile_iterative``).
+    ``delta``, ``max_iter`` and ``keep_iterates`` concern the ``ite-*``
+    methods only (see ``reconcile_iterative``).
     """
     kind, _, order = method.partition("-")
     if kind in ("seq", "ka", "ite"):
@@ -325,8 +310,6 @@ def prepare(
             raise ValidationError(f"delta must be positive, got {delta}")
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-        if criterion not in STOP_CRITERIA:
-            raise ValidationError(f"criterion {criterion!r} not in {STOP_CRITERIA}")
     sigma_te = sigma if sigma_te is None else sigma_te
     weights = {"cs": (sigma,), "oct": (sigma,), "te": (sigma_te,)}.get(
         kind, (sigma, sigma_te)
@@ -351,8 +334,7 @@ def prepare(
                     built.append(_build(kind, order, ct, sigma, sigma_te))
             if kind == "ite":
                 values, trace, converged, iterates = _alternate(
-                    *built[0], block.values, ct, delta, max_iter, criterion,
-                    keep_iterates,
+                    *built[0], block.values, delta, max_iter, keep_iterates
                 )
             else:
                 values = built[0](block.values)
@@ -459,22 +441,17 @@ def reconcile_iterative(
     order: str = "tcs",
     delta: float = ITERATIVE_DEFAULT_DELTA,
     max_iter: int = ITERATIVE_DEFAULT_MAX_ITER,
-    criterion: str = "fixed_point",
     keep_iterates: bool = False,
     measure_memory: bool = False,
 ) -> ReconcileReport:
     """Alternate the two uni-dimensional reconciliations until convergence.
 
     Each cycle applies both steps in the given order; the trace records the
-    Frobenius change per complete cycle. Stopping criteria:
-
-    * ``fixed_point`` (default): the next half-step would move the iterate
-      by at most ``delta * max(1, ||x||_F)`` — detects an already-coherent
-      fixed point after a single cycle, and the computed half-step is
-      reused so nothing is wasted;
-    * ``frobenius``: the change made by the cycle is below the same bound;
-    * ``incoherence``: the largest constraint violation is below
-      ``delta * max(1, max|x|)``.
+    Frobenius change per complete cycle. It stops at a fixed point: when
+    the next half-step would move the iterate by at most
+    ``delta * max(1, ||x||_F)``. That detects an already-coherent fixed
+    point after a single cycle, and the computed half-step is reused so
+    nothing is wasted.
 
     On ``max_iter`` without convergence the result is still returned,
     flagged "non-converged". The last half-step of the final cycle makes
@@ -483,8 +460,7 @@ def reconcile_iterative(
     """
     return prepare(
         f"ite-{order}", block.structure, sigma_cs, sigma_te, delta=delta,
-        max_iter=max_iter, criterion=criterion, keep_iterates=keep_iterates,
-        measure_memory=measure_memory,
+        max_iter=max_iter, keep_iterates=keep_iterates, measure_memory=measure_memory,
     )(block)
 
 

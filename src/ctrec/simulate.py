@@ -50,10 +50,6 @@ def pv324_structure(orders=PV324_ORDERS) -> CrossTemporalStructure:
     return build_ct(pv324_cs(), build_te(orders))
 
 
-def pv324_levels() -> tuple[str, ...]:
-    return ("L0",) + ("L1",) * len(PV324_ZONES) + ("L2",) * sum(PV324_ZONES)
-
-
 def random_aggregation(rng: np.random.Generator, n_upper: int, n_bottom: int) -> np.ndarray:
     """A total row plus random nonnegative integer rows, none all-zero."""
     rows = [np.ones(n_bottom)]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ctrec.covariance import (
-    CovarianceSpec,
     ResidualSet,
+    build_sigma,
     sigma_ols,
     sigma_str,
     sigma_wlsv,
@@ -100,37 +100,26 @@ def test_residual_set_validation():
         ResidualSet(np.zeros((1, 2, 3)))  # too few origins
     with pytest.raises(ValidationError):
         ResidualSet(np.full((2, 2, 3), np.nan))
-    stacked = np.arange(12.0).reshape(6, 2)
-    rs = ResidualSet.from_stacked(stacked, n_series=3)
-    assert rs.n_origins == 2
-    assert np.array_equal(rs.blocks[1], stacked[3:])
-    with pytest.raises(ValidationError):
-        ResidualSet.from_stacked(stacked, n_series=4)
 
 
-def test_wlsv_centering_switch():
+def test_wlsv_pools_squares_about_zero():
     ct = toy_ct()
-    blocks = np.zeros((4, 3, 3))
+    blocks = np.full((4, 3, 3), 0.1)  # keep other cells nonzero
     blocks[:, 0, 1] = [1.0, 1.0, 3.0, 3.0]  # series 0, an order-1 cell
-    blocks[:, :, :] += 0.1  # keep other cells nonzero
-    blocks[:, 0, 1] = [1.0, 1.0, 3.0, 3.0]
     raw = sigma_wlsv(ct, ResidualSet(blocks))
-    centered = sigma_wlsv(ct, ResidualSet(blocks), center=True)
-    # zero-mean convention pools squares; centering subtracts the pooled mean
+    # zero-mean convention: the pooled squares, the mean not subtracted
     pool = np.concatenate([blocks[:, 0, 1], blocks[:, 0, 2]])
     assert np.isclose(raw.cells()[0, 1], np.mean(pool**2))
-    assert np.isclose(centered.cells()[0, 1], np.mean((pool - pool.mean()) ** 2))
-    assert centered.cells()[0, 1] < raw.cells()[0, 1]
 
 
-def test_covariance_spec_dispatch():
+def test_build_sigma_dispatch():
     ct = toy_ct()
-    assert CovarianceSpec("ols").build(ct).name == "ols"
-    assert CovarianceSpec("str_te").build(ct).name == "str_te"
-    with pytest.raises(ValidationError):
-        CovarianceSpec("mint")
-    with pytest.raises(ValidationError):
-        CovarianceSpec("wlsv").build(ct)  # missing residuals
+    assert build_sigma("ols", ct).name == "ols"
+    assert build_sigma("str_te", ct).name == "str_te"
+    with pytest.raises(ValidationError, match="unknown covariance"):
+        build_sigma("mint", ct)
+    with pytest.raises(ValidationError, match="residual"):
+        build_sigma("wlsv", ct)  # missing residuals
 
 
 def test_per_order_view_rejects_position_varying_diagonal():

@@ -1,23 +1,15 @@
-"""Smoke test: every quick demo runs to completion against the current API.
-
-The 324-series benchmark demo (06) takes too long for the suite and is run
-by hand.
-"""
+"""Smoke test: every demo runs to completion against the current API."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted(
-    p
-    for p in (Path(__file__).resolve().parents[1] / "demos").glob("0*.py")
-    if not p.name.startswith("06_")
-)
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
 
 
 def test_demo_set_is_complete():
-    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05", "06"]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)

@@ -121,9 +121,9 @@ def test_nrmse_table_level_means_average_series():
         levels=("L0", "L1", "L1"),
     )
     table = nrmse_table(frame)
-    assert table.value("L0", "cand", 1) == 0.0
+    assert table.values[("L0", "cand", 1)] == 0.0
     # bottom level: mean of 50% and 0%
-    assert abs(table.value("L1", "cand", 1) - 25.0) < 1e-12
+    assert abs(table.values[("L1", "cand", 1)] - 25.0) < 1e-12
 
 
 # -- trace ---------------------------------------------------------------

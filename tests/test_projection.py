@@ -278,14 +278,9 @@ def test_sym_solver_names_a_singular_member_that_passes_cholesky():
     assert err.value.condition is None or err.value.condition > 1e12
 
 
-def test_sym_solver_cholesky_branch_matches_the_inverse_just_above_the_cutoff(
-    monkeypatch,
-):
-    r = projection.INVERSE_CUTOFF + 1
-    rng = np.random.default_rng(8)
-    X = rng.normal(size=(r, 2 * r))
-    A = X @ X.T / r + np.eye(r)
-    b = rng.normal(size=(r, 3))
+@pytest.fixture
+def cholesky_branches(monkeypatch):
+    """The shapes of the matrices that take the Cholesky-factor branch."""
     branches = []
     real = projection._cholesky_solver
 
@@ -294,12 +289,40 @@ def test_sym_solver_cholesky_branch_matches_the_inverse_just_above_the_cutoff(
         return real(A, context)
 
     monkeypatch.setattr(projection, "_cholesky_solver", recording)
+    return branches
+
+
+def test_sym_solver_cholesky_branch_matches_the_inverse_just_above_the_cutoff(
+    cholesky_branches, monkeypatch
+):
+    r = projection.INVERSE_CUTOFF + 1
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(r, 2 * r))
+    A = X @ X.T / r + np.eye(r)
+    b = rng.normal(size=(r, 3))
     by_factor = sym_solver(A, "large Gram")(b)
-    assert branches == [(r, r)]
+    assert cholesky_branches == [(r, r)]
     monkeypatch.setattr(projection, "INVERSE_CUTOFF", r)
     by_inverse = sym_solver(A, "large Gram")(b)
-    assert branches == [(r, r)]
+    assert cholesky_branches == [(r, r)]
     assert np.linalg.norm(by_factor - by_inverse) <= 1e-12 * np.linalg.norm(by_inverse)
+
+
+@pytest.mark.parametrize(
+    "kind, error",
+    [("indefinite", NotPositiveDefiniteError), ("singular", SingularSystemError)],
+)
+def test_sym_solver_cholesky_branch_raises_on_failure(kind, error, cholesky_branches):
+    r = projection.INVERSE_CUTOFF + 1
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(r, r - 1))
+    A = X @ X.T / r  # rank r - 1
+    if kind == "indefinite":
+        A += np.eye(r)
+        A[0, 0] = -1.0
+    with pytest.raises(error, match="large Gram"):
+        sym_solver(A, "large Gram")
+    assert cholesky_branches == [(r, r)]
 
 
 # -- averaged projectors ---------------------------------------------------

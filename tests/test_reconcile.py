@@ -256,22 +256,6 @@ def test_iterative_flags_non_convergence_but_returns_result():
     assert np.all(np.isfinite(out.block.values))
 
 
-def test_iterative_criteria_variants_reach_the_same_point():
-    rng = np.random.default_rng(15)
-    ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
-    block = random_block(rng, ct)
-    res = ResidualSet(rng.normal(size=(10, ct.n_series, ct.n_positions)))
-    sig = sigma_wlsv(ct, res)
-    outs = [
-        reconcile_iterative(
-            block, sig, sig, order="tcs", delta=1e-9, max_iter=5000, criterion=c
-        )
-        for c in ("fixed_point", "frobenius", "incoherence")
-    ]
-    for out in outs[1:]:
-        assert frobenius_gap(out.block, outs[0].block) <= 1e-6
-
-
 def test_iterative_validates_arguments():
     block = toy_block()
     sig = sigma_ols(block.structure)
@@ -281,8 +265,6 @@ def test_iterative_validates_arguments():
         reconcile_iterative(block, sig, sig, delta=0.0)
     with pytest.raises(ValidationError):
         reconcile_iterative(block, sig, sig, max_iter=0)
-    with pytest.raises(ValidationError):
-        reconcile_iterative(block, sig, sig, criterion="energy")
 
 
 # -- equivalence suite (constant weights) ------------------------------------
@@ -509,7 +491,7 @@ def test_constant_residuals_floor_flag_surfaces_and_methods_still_work():
     ct = toy_ct((2, 1))
     res = ResidualSet(np.zeros((3, 3, 3)))  # zero variance everywhere
     sig = sigma_wlsv(ct, res)
-    assert len(sig.floored) == ct.n_series * ct.te.n_orders
+    assert len(sig.floored) == ct.n_series * len(ct.te.orders)
     block = ForecastBlock(np.array([[4.0, 1.0, 2.0], [1.0, 0.5, 1.0], [2.0, 1.0, 0.5]]), ct)
     out = reconcile_iterative(block, sig, sig, order="tcs")
     # the floored covariance is a scaled identity: single-cycle convergence
@@ -525,6 +507,4 @@ def test_forecast_block_round_trip_and_validation():
     with pytest.raises(ValidationError):
         ForecastBlock(np.full((3, 3), np.nan), ct)
     block = toy_block()
-    assert np.array_equal(
-        ForecastBlock.from_vector(block.vector, ct).values, block.values
-    )
+    assert np.array_equal(block.vector, block.values.ravel())
