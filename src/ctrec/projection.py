@@ -7,9 +7,10 @@ operator over a whole vector; ``batched_projector`` projects many short
 vectors at once, each under its own diagonal weight, and picks the smaller
 form itself. ``cross_temporal_projector`` solves the combined projection by
 block elimination on top of the batched Gram stack. Small Gram systems
-(every stack, and any matrix of up to ``INVERSE_CUTOFF`` rows) are applied
-through explicit inverses, with numpy alone; larger ones keep a Cholesky
-factor. Dense materialization exists for test oracles and debugging only.
+(every stack, and any matrix of up to ``INVERSE_CUTOFF`` rows) are factored
+once by a batched Cholesky and applied through the inverse built from that
+factor, with numpy alone; larger ones keep a Cholesky factor and solve with
+it. Dense materialization exists for test oracles and debugging only.
 
 ``structural_projector``, ``zero_projector`` and ``_gram_solver`` take
 sparse operators; they are the reference path that ``verify`` and the
@@ -36,10 +37,12 @@ DENSE_MATERIALIZE_CAP = 2048
 # times its scale, and as singular otherwise.
 PIVOT_FALLBACK_TOL = 1e-10
 # A 2-d system of more rows than this keeps a Cholesky factor (scipy's
-# potrf/pocon/potrs) instead of an explicit inverse. The inverse takes
-# 3-5x as long: measured on a 2-vCPU host, 0.47 vs 0.15 ms at 144 rows,
-# 75 vs 15 ms at 1 200 rows and 2.8 vs 0.57 s at 4 800 rows. Up to here its
-# extra cost stays below the ~0.15 s of importing scipy.linalg it avoids.
+# potrf/pocon/potrs) instead of an explicit inverse. The inverse built
+# from numpy's Cholesky factor takes 2-3.5x as long as that factor and its
+# estimate: measured on a 2-vCPU host, 0.58 vs 0.25 ms at 144 rows, 52 vs
+# 21 ms at 1 000 rows, 94 vs 30 ms at 1 200 rows and 3.4 vs 1.0 s at 4 800
+# rows. Up to here its extra cost stays below the ~0.2 s of importing
+# scipy.linalg it avoids.
 INVERSE_CUTOFF = 1000
 
 
@@ -86,12 +89,13 @@ def _raise_failed(A: np.ndarray, context: str, rcond: float | None = None):
 def sym_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor a symmetric matrix, or a (b, r, r) stack of them, preferring Cholesky.
 
-    A stack, or a matrix of up to INVERSE_CUTOFF rows, is checked by one
-    batched Cholesky and inverted by one batched call; the solve is one
-    matrix product, and a stack's takes a (b, r, s) right-hand side, one
-    member per matrix. Every member is vetted by its exact 1-norm
-    reciprocal condition 1/(‖A‖₁‖A⁻¹‖₁) against RCOND_FLOOR. A larger
-    matrix keeps a Cholesky factor, vetted by LAPACK's condition estimate.
+    A stack, or a matrix of up to INVERSE_CUTOFF rows, is factored once by
+    one batched Cholesky, A = LLᵀ, and inverted from that factor (see
+    ``_inverses``); the solve is one matrix product, and a stack's takes a
+    (b, r, s) right-hand side, one member per matrix. Every member is vetted
+    by its exact 1-norm reciprocal condition 1/(‖A‖₁‖A⁻¹‖₁) against
+    RCOND_FLOOR. A larger matrix keeps a Cholesky factor, vetted by
+    LAPACK's condition estimate.
     A failed factorization or vetting raises (see ``_raise_failed``),
     naming the stack member as "column j".
     """
@@ -113,21 +117,58 @@ def sym_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray
 
 
 def _inverses(A: np.ndarray, names: list[str]) -> np.ndarray:
-    """Invert a (b, r, r) stack of symmetric matrices, ``names[j]`` naming
-    member j in errors."""
+    """Invert a (b, r, r) stack of symmetric positive definite matrices,
+    ``names[j]`` naming member j in errors.
+
+    One batched Cholesky, A = LLᵀ, is both the positive-definiteness test
+    and the only factorization: A⁻¹ = L⁻ᵀL⁻¹, with L⁻¹ from
+    ``_invert_lower``. A pivot so small that the inverse overflows leaves
+    an inf or NaN, which fails the condition vetting without a warning.
+    """
     try:
-        np.linalg.cholesky(A)
-        inverses = np.linalg.inv(A)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         if len(A) > 1:  # find the member at fault
             return np.stack([_inverses(a[None], [name])[0] for a, name in zip(A, names)])
-        # Cholesky failed, or succeeded on an exactly singular matrix
         _raise_failed(A[0], names[0])
-    rcond = 1.0 / (_norm1(A) * _norm1(inverses))
+    with np.errstate(all="ignore"):
+        _invert_lower(L)
+        inverses = np.matmul(np.swapaxes(L, 1, 2), L)
+        del L  # so that the vetting's |A⁻¹| temporary does not raise the peak
+        rcond = 1.0 / (_norm1(A) * _norm1(inverses))
     bad = np.flatnonzero(~(rcond >= RCOND_FLOOR))  # NaN fails too
     if bad.size:
         _raise_failed(A[bad[0]], names[bad[0]], float(rcond[bad[0]]))
     return inverses
+
+
+def _invert_lower(L: np.ndarray) -> None:
+    """Invert a (b, r, r) stack of lower-triangular matrices in place, by
+    halving: [[A, 0], [C, D]]⁻¹ = [[A⁻¹, 0], [−D⁻¹CA⁻¹, D⁻¹]].
+
+    Both diagonal halves of every member are inverted together, as one
+    (2b, h, h) stack, so the number of numpy calls grows with log r. An odd
+    size pads the lower half with a unit pivot, whose inverse is itself.
+    """
+    b, r, _ = L.shape
+    if r <= 1:
+        np.reciprocal(L, out=L)
+        return
+    h = (r + 1) // 2
+    k = r - h
+    halves = np.zeros((2 * b, h, h))
+    halves[:b] = L[:, :h, :h]
+    halves[b:, :k, :k] = L[:, h:, h:]
+    if k < h:
+        halves[b:, k, k] = 1.0
+    _invert_lower(halves)
+    A_inv, D_inv = halves[:b], halves[b:, :k, :k]
+    C = L[:, h:, :h]
+    DC = np.matmul(D_inv, C)
+    np.negative(DC, out=DC)
+    np.matmul(DC, A_inv, out=C)
+    L[:, :h, :h] = A_inv
+    L[:, h:, h:] = D_inv
 
 
 def _norm1(A: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ResidualSet, sigma_wlsv
+from .errors import ValidationError
 from .hierarchy import CrossTemporalStructure
 from .projection import structural_projector, zero_projector
 from .reconcile import (
@@ -309,7 +310,10 @@ def check_sntz(seed: int = 0) -> CheckResult:
 
 
 def run_all(seed: int = 0, instances: int | None = None) -> list[CheckResult]:
-    """Run every suite; ``instances`` scales the two heavyweight ones."""
+    """Run every suite; ``instances`` (at least 1) scales the two heavyweight
+    ones, which otherwise run 50 and 20."""
+    if instances is not None and instances < 1:  # zero instances pass vacuously
+        raise ValidationError(f"instances must be at least 1, got {instances}")
     return [
         check_constant_weight_equivalence(seed, instances or 50),
         check_alternating_convergence(seed, instances or 20),

@@ -351,6 +351,13 @@ def test_verify_command_passes(workdir):
     assert run(["verify", "--seed", 0, "--instances", 4]) == 0
 
 
+@pytest.mark.parametrize("count", [-2, 0])
+def test_verify_rejects_an_instance_count_below_one(count, capsys):
+    assert run(["verify", "--instances", count]) == 2
+    captured = capsys.readouterr()
+    assert "at least 1" in captured.err and "PASS" not in captured.out
+
+
 def test_bench_command_smoke(workdir, capsys):
     sim = workdir  # unused; bench generates its own data
     out = workdir / "bench"

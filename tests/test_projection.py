@@ -1,5 +1,7 @@
 """Tests for the projection operators, against dense brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -276,6 +278,62 @@ def test_sym_solver_names_a_singular_member_that_passes_cholesky():
     with pytest.raises(SingularSystemError) as err:
         sym_solver(singular, "Gram")
     assert err.value.condition is None or err.value.condition > 1e12
+
+
+def relative_gap(x, reference):
+    """‖x − reference‖ / ‖reference‖ in the Frobenius norm."""
+    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 7, 24, 25, 33])  # odd sizes take the padding
+def test_sym_solver_stack_matches_numpy_inverse_and_solve(r):
+    rng = np.random.default_rng(r)
+    A = np.stack([random_spd(rng, r, spread) for spread in (2.0, 1e2, 1e4)])
+    b = rng.normal(size=(3, r, 2))
+    x = sym_solver(A, "stack")(b)
+    inverses = sym_solver(A, "stack")(np.broadcast_to(np.eye(r), A.shape))
+    for j in range(3):
+        assert relative_gap(x[j], np.linalg.solve(A[j], b[j])) <= 1e-12
+        assert relative_gap(inverses[j], np.linalg.inv(A[j])) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [144, projection.INVERSE_CUTOFF])
+def test_sym_solver_lone_matrix_matches_numpy_inverse_and_solve(r):
+    rng = np.random.default_rng(r)
+    A = random_spd(rng, r, 1e4)
+    b = rng.normal(size=(r, 2))
+    assert relative_gap(sym_solver(A, "Gram")(b), np.linalg.solve(A, b)) <= 1e-12
+    inverse = sym_solver(A, "Gram")(np.eye(r))
+    assert relative_gap(inverse, np.linalg.inv(A)) <= 1e-12
+
+
+def test_sym_solver_factors_each_gram_once_without_lu(monkeypatch):
+    rng = np.random.default_rng(5)
+    stack = np.stack([random_spd(rng, 24, 1e3) for _ in range(4)])
+    lone = random_spd(rng, 144, 1e3)
+    b_stack, b_lone = rng.normal(size=(4, 24, 3)), rng.normal(size=(144, 3))
+    expected = np.linalg.solve(stack, b_stack), np.linalg.solve(lone, b_lone)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram was factored a second time")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    assert relative_gap(sym_solver(stack, "stack")(b_stack), expected[0]) <= 1e-12
+    assert relative_gap(sym_solver(lone, "Gram")(b_lone), expected[1]) <= 1e-12
+
+
+def test_sym_solver_rejects_an_overflowing_inverse_without_a_warning():
+    # Cholesky passes diag(1, 1e-320) (last pivot ~1e-160), but its inverse
+    # overflows; the member is named, and no RuntimeWarning escapes
+    tiny = np.diag([1.0, 1e-320])
+    np.linalg.cholesky(tiny)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match="column 1"):
+            sym_solver(np.stack([np.eye(2), tiny, np.eye(2)]), "stack")
+        with pytest.raises(SingularSystemError, match="Gram"):
+            sym_solver(tiny, "Gram")
 
 
 @pytest.fixture
