@@ -218,6 +218,8 @@ def mcb_nemenyi(
     quantile at level alpha over J candidates and L cases, and each interval
     spans mean rank ± half the critical distance.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     from scipy.stats import rankdata, studentized_range  # slow import, only needed here
 
     names = list(frame.candidates)

@@ -178,7 +178,6 @@ class CrossTemporalStructure:
 
     cs: CrossSectionalStructure
     te: TemporalStructure
-    size_cap: int = DEFAULT_SIZE_CAP
 
     @property
     def n_series(self) -> int:
@@ -365,7 +364,7 @@ def build_ct(
         raise StructureError(
             f"full vector length {dim} exceeds the size cap {size_cap}"
         )
-    ct = CrossTemporalStructure(cs=cs, te=te, size_cap=size_cap)
+    ct = CrossTemporalStructure(cs=cs, te=te)
     cs_part = np.abs(cs.constraint_dense @ cs.summing_dense).max(initial=0.0)
     te_part = np.abs(te.constraint_dense @ te.summing_dense).max(initial=0.0)
     residual = float(max(cs_part, np.abs(cs.summing_dense).max() * te_part))

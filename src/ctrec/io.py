@@ -1,5 +1,5 @@
 """File formats: hierarchy spec files, wide forecast CSVs, residual CSVs,
-JSON-lines reports, and the evaluation tables.
+series-to-level maps, JSON-lines reports, and the evaluation tables.
 
 The wide forecast format mirrors the canonical layout so a row round-trips
 to one series' temporal block: columns are labeled ``k{order}_{index}`` in
@@ -372,6 +372,29 @@ def read_history_csv(path, ct: CrossTemporalStructure) -> dict[str, np.ndarray]:
         if np.isnan(hist).any():
             raise ValidationError(f"{path}: origin {origin}: incomplete history")
     return out
+
+
+# -- level maps ------------------------------------------------------------------
+
+
+def read_levels_csv(path, ct: CrossTemporalStructure) -> tuple[str, ...]:
+    """A ``series,level`` map (the header row is optional) as the level of
+    each series in structure order. A short row, a series listed twice or a
+    series of the structure left out is an error naming the file."""
+    mapping: dict[str, str] = {}
+    with open_input(path) as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (lineno == 1 and row[0] == "series"):
+                continue
+            if len(row) < 2:
+                raise ValidationError(f"{path}:{lineno}: expected series,level")
+            if row[0] in mapping:
+                raise ValidationError(f"{path}:{lineno}: series {row[0]!r} listed twice")
+            mapping[row[0]] = row[1]
+    missing = [s for s in ct.cs.labels if s not in mapping]
+    if missing:
+        raise ValidationError(f"{path}: level map is missing series {missing[:5]}")
+    return tuple(mapping[s] for s in ct.cs.labels)
 
 
 # -- reports -------------------------------------------------------------------

@@ -119,6 +119,8 @@ def simulate_dataset(
     """
     if n_origins < 1:
         raise ValidationError(f"need at least one origin, got {n_origins}")
+    if not noise_sd >= 0:
+        raise ValidationError(f"noise_sd must be at least 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     n, q = ct.n_series, ct.n_positions
     scales = rng.uniform(0.5, 1.5, size=(n, 1))

@@ -337,6 +337,43 @@ def test_evaluate_with_level_map_and_bad_candidate_spec(workdir):
     ) == 2
 
 
+def test_evaluate_rejects_a_candidate_name_given_twice(workdir, capsys):
+    # the second `a` used to replace the first, scoring the actuals against
+    # themselves
+    sim = simulate(workdir)
+    code = run(
+        ["evaluate", "--hierarchy", workdir / "hier.txt", "--actuals", sim / "actuals.csv",
+         "--candidate", f"a={sim / 'base.csv'}", "--candidate", f"a={sim / 'actuals.csv'}",
+         "--out", workdir / "eval-dup"]
+    )
+    assert code == 2
+    assert "'a' given twice" in capsys.readouterr().err
+    assert not (workdir / "eval-dup" / "nrmse.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", ["2", "0"])
+def test_evaluate_rejects_alpha_outside_the_unit_interval(workdir, capsys, alpha):
+    sim = simulate(workdir)
+    code = run(
+        ["evaluate", "--hierarchy", workdir / "hier.txt", "--actuals", sim / "actuals.csv",
+         "--candidate", f"base={sim / 'base.csv'}", "--candidate", f"act={sim / 'actuals.csv'}",
+         "--alpha", alpha, "--out", workdir / "eval-alpha"]
+    )
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not (workdir / "eval-alpha" / "ranks.csv").exists()
+
+
+def test_simulate_rejects_negative_noise(workdir, capsys):
+    out = workdir / "sim-neg"
+    code = run(
+        ["simulate", "--hierarchy", workdir / "hier.txt", "--noise", -1, "--out", out]
+    )
+    assert code == 2
+    assert "noise_sd" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_orders_override_must_match_input_columns(workdir):
     sim = simulate(workdir)
     # overriding the temporal grid changes the expected CSV columns
@@ -376,6 +413,19 @@ def test_bench_command_smoke(workdir, capsys):
     captured = capsys.readouterr().out
     for name in ("cs[wlsv]", "seq-cst[wlsv]", "ka-tcs[wlsv]", "bu[wlsv]"):
         assert name in captured
+
+
+@pytest.mark.parametrize("option", ["--methods", "--covs"])
+def test_bench_rejects_an_empty_name_list(workdir, capsys, option):
+    # an empty list used to end in a traceback from max() over no rows
+    out = workdir / "bench-empty"
+    code = run(
+        ["bench", "--hierarchy", workdir / "hier.txt", "--reps", 1, option, " , ",
+         "--out", out]
+    )
+    assert code == 2
+    assert f"{option} names no entry" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(workdir):

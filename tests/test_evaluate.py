@@ -257,6 +257,15 @@ def test_nemenyi_validates_inputs():
         mcb_nemenyi(frame, order=1)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, float("nan")])
+def test_nemenyi_rejects_alpha_outside_the_unit_interval(alpha):
+    # alpha 2 gave NaN intervals and alpha 0 infinite ones
+    ct = toy_ct((2, 1))
+    frame = frame_from_errors(ct, np.random.default_rng(6).uniform(size=(8, 3)))
+    with pytest.raises(ValidationError, match="alpha"):
+        mcb_nemenyi(frame, order=1, levels=["L0"], alpha=alpha)
+
+
 def test_eval_frame_rejects_misaligned_candidates():
     ct = toy_ct((2, 1))
     actuals = (

@@ -155,6 +155,8 @@ def test_build_ct_size_cap():
     te = build_te([24, 12, 8, 6, 4, 3, 2, 1])
     with pytest.raises(StructureError):
         build_ct(cs, te, size_cap=1000)
+    # the cap is checked, not stored: it does not tell two structures apart
+    assert build_ct(cs, te) == build_ct(cs, te, size_cap=10**7)
 
 
 def test_ct_summing_is_product_of_expanded_factors():

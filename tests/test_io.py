@@ -13,6 +13,7 @@ from ctrec.io import (
     read_blocks_csv,
     read_hierarchy_file,
     read_history_csv,
+    read_levels_csv,
     read_reports_jsonl,
     read_residuals_csv,
     report_dict,
@@ -214,3 +215,29 @@ def test_report_dict_carries_delta_for_iterative():
     assert record["delta"] == 1e-7
     record = report_dict(reconcile_oct(block, sig))
     assert "delta" not in record
+
+
+def test_levels_csv_reads_levels_in_structure_order(tmp_path):
+    ct = toy_ct()
+    path = tmp_path / "levels.csv"
+    # rows in any order, the header optional, blank lines skipped
+    path.write_text("series,level\nb2,L1\n\nu1,L0\nb1,L1\n")
+    assert read_levels_csv(path, ct) == ("L0", "L1", "L1")
+    path.write_text("b1,L1\nu1,L0\nb2,L1\n")
+    assert read_levels_csv(path, ct) == ("L0", "L1", "L1")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("series,level\nu1,L0\nb1\nb2,L1\n", "levels.csv:3: expected series,level"),
+        ("series,level\nu1,L0\nb1,L1\nb2,L1\nb1,L2\n", "levels.csv:5: series 'b1'"),
+        ("series,level\nu1,L0\nb1,L1\n", "levels.csv: level map is missing series"),
+    ],
+    ids=["short-row", "duplicate", "missing"],
+)
+def test_levels_csv_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "levels.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message):
+        read_levels_csv(path, toy_ct())
