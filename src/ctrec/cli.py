@@ -13,8 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import io
-from .covariance import COVARIANCE_NAMES, build_sigma
+from . import covariance, io
 from .errors import NumericalError, ReconciliationError, ValidationError
 from .evaluate import (
     DEFAULT_ALPHA,
@@ -48,8 +47,11 @@ EXIT_NON_CONVERGENCE = 4
 
 
 def _load_structure(args: argparse.Namespace) -> CrossTemporalStructure:
+    """The structure of --hierarchy, its temporal orders replaced by --orders
+    when given (checked before the file is read)."""
+    override = _orders(args.orders)
     agg, labels, orders = io.read_hierarchy_file(args.hierarchy)
-    return build_ct(build_cs(agg, labels), build_te(args.orders or orders))
+    return build_ct(build_cs(agg, labels), build_te(override or orders))
 
 
 def _strategy(args: argparse.Namespace, ct: CrossTemporalStructure, residuals, histories):
@@ -62,7 +64,7 @@ def _strategy(args: argparse.Namespace, ct: CrossTemporalStructure, residuals, h
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
     if method in RECONCILE_METHODS:
-        sigma = build_sigma(args.cov.replace("-", "_"), ct, residuals)
+        sigma = covariance.build_sigma(args.cov.replace("-", "_"), ct, residuals)
         reconcile = prepare(
             method, ct, sigma, delta=args.delta, max_iter=args.max_iter,
             measure_memory=args.memory,
@@ -231,23 +233,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, hierarchy_required=True):
+    def command(name, run, summary, structure=True, threads=True):
+        """A subcommand with --seed; with ``structure``, --hierarchy (required
+        when ``structure`` is True), --orders and --out; with ``threads``,
+        --threads."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
-        p.add_argument("--hierarchy", type=Path, required=hierarchy_required,
-                       help="hierarchy spec file (orders + aggregation rows)")
-        p.add_argument("--orders", type=str, default=None,
-                       help="override temporal orders, e.g. 24,12,8,6,4,3,2,1")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        if structure is not None:
+            p.add_argument("--hierarchy", type=Path, required=structure,
+                           help="hierarchy spec file (orders + aggregation rows)")
+            p.add_argument("--orders", type=str, default=None,
+                           help="override temporal orders, e.g. 24,12,8,6,4,3,2,1")
+            p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
         return p
 
     p = command("reconcile", cmd_reconcile, "reconcile base forecast CSVs")
     p.add_argument("--input", type=Path, required=True, help="base forecasts CSV")
     p.add_argument("--method", default="oct", choices=METHODS)
     p.add_argument("--cov", default="ols",
-                   choices=[name.replace("_", "-") for name in COVARIANCE_NAMES])
+                   choices=[name.replace("_", "-") for name in covariance.COVARIANCE_NAMES])
     p.add_argument("--residuals", type=Path, default=None,
                    help="residual CSV (required for wlsv)")
     p.add_argument("--history", type=Path, default=None,
@@ -281,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate name to flag against in the nRMSE table")
 
     p = command("verify", cmd_verify, "run the randomized verification suites",
-                hierarchy_required=False)
+                structure=None, threads=False)
     p.add_argument("--instances", type=int, default=None,
                    help="instance count for the two heavy suites")
 
     p = command("bench", cmd_bench, "timing/memory comparison on synthetic data",
-                hierarchy_required=False)
+                structure=False, threads=False)
     # bench always traces memory (so its timings carry tracemalloc) and never clamps
     p.set_defaults(memory=True, sntz=False)
     p.add_argument("--reps", type=int, default=3, help="origins per combination")
@@ -299,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _orders(text: str | None) -> list[int] | None:
-    """``--orders`` as integers; checked before any command runs."""
+    """``--orders`` as integers."""
     if not text:
         return None
     try:
@@ -311,7 +318,6 @@ def _orders(text: str | None) -> list[int] | None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.orders = _orders(args.orders)
         return args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -110,16 +110,16 @@ def read_hierarchy_file(path) -> tuple[np.ndarray, list[str], list[int]]:
     else:
         if not agg_rows:
             raise ValidationError(f"{path}: no aggregation rows")
-        bottom_labels: list[str] = []
-        for _, bottoms in agg_rows:
-            for b in bottoms:
-                if b not in bottom_labels:
-                    bottom_labels.append(b)
-        uppers = [u for u, _ in agg_rows]
-        agg = np.zeros((len(uppers), len(bottom_labels)))
+        column: dict[str, int] = {}  # bottom label -> column, first appearance first
+        rows, columns = [], []
         for r, (_, bottoms) in enumerate(agg_rows):
             for b in bottoms:
-                agg[r, bottom_labels.index(b)] += 1.0
+                rows.append(r)
+                columns.append(column.setdefault(b, len(column)))
+        bottom_labels = list(column)
+        uppers = [u for u, _ in agg_rows]
+        agg = np.zeros((len(uppers), len(bottom_labels)))
+        np.add.at(agg, (rows, columns), 1.0)  # a repeated name adds to its weight
     overlap = set(uppers) & set(bottom_labels)
     if overlap:
         raise ValidationError(f"{path}: labels on both sides: {sorted(overlap)}")
@@ -379,8 +379,10 @@ def read_history_csv(path, ct: CrossTemporalStructure) -> dict[str, np.ndarray]:
 
 def read_levels_csv(path, ct: CrossTemporalStructure) -> tuple[str, ...]:
     """A ``series,level`` map (the header row is optional) as the level of
-    each series in structure order. A short row, a series listed twice or a
-    series of the structure left out is an error naming the file."""
+    each series in structure order. A short row, a series listed twice, a
+    series the structure does not have or one of its series left out is an
+    error naming the file."""
+    known = set(ct.cs.labels)
     mapping: dict[str, str] = {}
     with open_input(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -390,6 +392,10 @@ def read_levels_csv(path, ct: CrossTemporalStructure) -> tuple[str, ...]:
                 raise ValidationError(f"{path}:{lineno}: expected series,level")
             if row[0] in mapping:
                 raise ValidationError(f"{path}:{lineno}: series {row[0]!r} listed twice")
+            if row[0] not in known:
+                raise ValidationError(
+                    f"{path}:{lineno}: series {row[0]!r} is not in the hierarchy"
+                )
             mapping[row[0]] = row[1]
     missing = [s for s in ct.cs.labels if s not in mapping]
     if missing:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ctrec
+import ctrec.projection as projection
 import ctrec.reconcile as reconcile
 from ctrec.cli import main
 from ctrec.hierarchy import build_cs, build_ct, build_te
@@ -97,6 +98,30 @@ def test_reconcile_methods_produce_reports(workdir, method, cov):
     assert all(r["method"] == method for r in records)
     if cov == "wlsv":  # healthy noise level: no variance floor engaged
         assert all("variance-floor" not in r["flags"] for r in records)
+
+
+def test_reconcile_builds_the_covariance_through_the_covariance_module(
+    workdir, monkeypatch
+):
+    # the command looks build_sigma up on ctrec.covariance at call time, so a
+    # wrapper patched there (the benchmark's covariance.build span) sees it
+    import ctrec.covariance as covariance
+
+    sim = simulate(workdir)
+    calls = []
+    real = covariance.build_sigma
+
+    def recording(name, *args, **kwargs):
+        calls.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(covariance, "build_sigma", recording)
+    assert run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", "ite-tcs", "--cov", "wlsv", "--residuals", sim / "residuals.csv",
+         "--out", workdir / "out-hooked"]
+    ) == 0
+    assert calls == ["wlsv"]
 
 
 def test_reconcile_oct_matches_projection_oracle(workdir):
@@ -269,9 +294,11 @@ def test_determinism_across_runs_and_thread_counts(workdir):
 
 def test_batch_prepares_once_and_is_deterministic(workdir, monkeypatch):
     # a batch builds its operator on the first origin only, whatever the
-    # thread count, and the output bytes do not depend on either
+    # thread count, and the output bytes do not depend on either; that build
+    # factors one Gram stack per dimension (oct: the temporal stack and the
+    # Schur system), each by a single dense factorization
     sim = simulate(workdir, reps=4)
-    calls = []
+    calls, factored = [], []
 
     def counting(name):
         real = getattr(reconcile, name)
@@ -287,14 +314,31 @@ def test_batch_prepares_once_and_is_deterministic(workdir, monkeypatch):
         "cross_temporal_projector",
     ):
         monkeypatch.setattr(reconcile, name, counting(name))
+    real_solver = projection.sym_solver
+
+    def recording_solver(A, context):
+        factored.append((context, A.shape))
+        return real_solver(A, context)
+
+    monkeypatch.setattr(projection, "sym_solver", recording_solver)
+    # toy structure: 7 series (3 upper), orders 4,2,1 (7 positions, 3
+    # temporal constraints), so both steps take the constraint form
     expected_calls = {
-        "oct": ["cross_temporal_projector"],  # never the combined sparse Gram
-        "ite-tcs": ["batched_projector"] * 2,  # one temporal, one cross-sectional
+        "oct": (
+            ["cross_temporal_projector"],  # never the combined sparse Gram
+            [("temporal structural Gram matrix", (7, 4, 4)),
+             ("cross-sectional Schur complement", (12, 12))],
+        ),
+        "ite-tcs": (
+            ["batched_projector"] * 2,  # one temporal, one cross-sectional
+            [("constraint Gram matrix", (7, 3, 3))] * 2,
+        ),
     }
-    for method, expected in expected_calls.items():
+    for method, (expected, expected_factored) in expected_calls.items():
         outputs = set()
         for threads in (1, 2, 1, 2):
             calls.clear()
+            factored.clear()
             out = workdir / f"{method}-{threads}"
             assert run(
                 ["reconcile", "--hierarchy", workdir / "hier.txt",
@@ -303,6 +347,7 @@ def test_batch_prepares_once_and_is_deterministic(workdir, monkeypatch):
                  "--out", out]
             ) == 0
             assert calls == expected
+            assert factored == expected_factored
             outputs.add((out / "reconciled.csv").read_bytes())
         assert len(outputs) == 1
 
@@ -393,6 +438,25 @@ def test_verify_rejects_an_instance_count_below_one(count, capsys):
     assert run(["verify", "--instances", count]) == 2
     captured = capsys.readouterr()
     assert "at least 1" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--threads", "9"],
+        ["verify", "--hierarchy", "/nonexistent.txt"],
+        ["verify", "--orders", "2,1"],
+        ["verify", "--out", "elsewhere"],
+        ["bench", "--threads", "9"],
+    ],
+    ids=lambda args: " ".join(args[:2]),
+)
+def test_commands_reject_options_they_would_ignore(args, capsys):
+    # verify reads only --seed and --instances, bench never runs threads
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: " + args[1] in capsys.readouterr().err
 
 
 def test_bench_command_smoke(workdir, capsys):

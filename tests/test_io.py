@@ -63,6 +63,40 @@ def test_hierarchy_file_round_trip(tmp_path):
     assert orders == orders2
 
 
+def _quadratic_hierarchy_reference(rows):
+    """Bottom labels and weights as the parser defined them first: labels by
+    list membership in first-appearance order, a repeated name adding 1."""
+    labels = []
+    for _, bottoms in rows:
+        for b in bottoms:
+            if b not in labels:
+                labels.append(b)
+    agg = np.zeros((len(rows), len(labels)))
+    for r, (_, bottoms) in enumerate(rows):
+        for b in bottoms:
+            agg[r, labels.index(b)] += 1.0
+    return labels, agg
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hierarchy_file_matches_the_list_reference_on_random_hierarchies(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    pool = [f"b{i}" for i in rng.permutation(int(rng.integers(1, 60)))]
+    rows = [
+        (f"u{r}", list(rng.choice(pool, size=int(rng.integers(1, 12)))))  # repeats too
+        for r in range(int(rng.integers(1, 15)))
+    ]
+    path = tmp_path / "hier.txt"
+    path.write_text(
+        "orders = 2,1\n" + "".join(f"{u}: {', '.join(b)}\n" for u, b in rows)
+    )
+    agg, labels, orders = read_hierarchy_file(path)
+    expected_labels, expected_agg = _quadratic_hierarchy_reference(rows)
+    assert labels == [u for u, _ in rows] + expected_labels
+    assert np.array_equal(agg, expected_agg)
+    assert orders == [2, 1]
+
+
 def test_hierarchy_file_weight_matrix(tmp_path):
     (tmp_path / "w.csv").write_text("series,a,b\ntotal,1,1\nhalf,0.5,0\n")
     spec = tmp_path / "hier.txt"
@@ -233,8 +267,12 @@ def test_levels_csv_reads_levels_in_structure_order(tmp_path):
         ("series,level\nu1,L0\nb1\nb2,L1\n", "levels.csv:3: expected series,level"),
         ("series,level\nu1,L0\nb1,L1\nb2,L1\nb1,L2\n", "levels.csv:5: series 'b1'"),
         ("series,level\nu1,L0\nb1,L1\n", "levels.csv: level map is missing series"),
+        (
+            "series,level\nu1,L0\nb1,L1\nb2,L1\nzz,L9\n",
+            "levels.csv:5: series 'zz' is not in the hierarchy",
+        ),
     ],
-    ids=["short-row", "duplicate", "missing"],
+    ids=["short-row", "duplicate", "missing", "unknown"],
 )
 def test_levels_csv_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "levels.csv"

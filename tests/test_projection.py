@@ -1,6 +1,7 @@
 """Tests for the projection operators, against dense brute-force oracles."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,12 +183,14 @@ def test_batched_projector_matches_dense_oracle_in_both_forms(
     structure, form, monkeypatch
 ):
     # fewer constraints than free series picks the constraint Gram, else the
-    # structural one; either way every column matches its own dense projection
+    # structural one; either way every column matches its own dense
+    # projection, and the steps apply the factored inverse stack itself
     gram_sizes = []
 
     def recording_solver(A, context):
         gram_sizes.append(A.shape)
-        return sym_solver(A, context)
+        solver = sym_solver(A, context)
+        return SimpleNamespace(inverse=solver.inverse) if A.ndim == 3 else solver
 
     monkeypatch.setattr(projection, "sym_solver", recording_solver)
     rng = np.random.default_rng(3)
@@ -201,15 +204,22 @@ def test_batched_projector_matches_dense_oracle_in_both_forms(
     for j in range(9):
         expected = structural_projector(S, W[:, j]).dense() @ X[:, j]
         assert np.linalg.norm(out[:, j] - expected) <= 1e-9 * np.linalg.norm(X[:, j])
-    # several vectors per column share that column's weight
-    stacked = batched_projector(structure, W)(np.stack([X, 2 * X], axis=2))
-    assert np.allclose(stacked[:, :, 1], 2 * out, rtol=0, atol=1e-9 * np.abs(X).max())
-    # a weight shared by every column factors a single Gram matrix
+    # several vectors per column share that column's weight: an (r, b, s) array
+    stacked = batched_projector(structure, W)(np.stack([X, 2 * X, -X], axis=2))
+    assert stacked.shape == (r, 9, 3)
+    for t, scale in enumerate((1, 2, -1)):
+        assert np.allclose(
+            stacked[:, :, t], scale * out, rtol=0, atol=1e-9 * np.abs(X).max()
+        )
+    # a weight shared by every column factors a single Gram matrix, a stack of one
     gram_sizes.clear()
-    shared = batched_projector(structure, np.repeat(W[:, :1], 9, axis=1))(X)
-    assert gram_sizes == [(g, g)]
+    shared = batched_projector(structure, np.repeat(W[:, :1], 9, axis=1))
+    assert gram_sizes == [(1, g, g)]
     expected = structural_projector(S, W[:, 0]).dense() @ X
-    assert np.linalg.norm(shared - expected) <= 1e-9 * np.linalg.norm(X)
+    assert np.linalg.norm(shared(X) - expected) <= 1e-9 * np.linalg.norm(X)
+    expected = np.stack([expected, 2 * expected], axis=2)
+    stacked = shared(np.stack([X, 2 * X], axis=2))
+    assert np.linalg.norm(stacked - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("n_upper, n_bottom", [(200, 300), (300, 200)])
@@ -495,12 +505,14 @@ def _ct_cases():
 @pytest.mark.parametrize("ct", _ct_cases(), ids=lambda ct: f"{ct.n_series}x{ct.te.orders}")
 def test_cross_temporal_projector_matches_zero_constrained_reference(ct, monkeypatch):
     # one stack of n temporal Grams (m x m) and one Schur system of
-    # n_upper·m rows are the only factorizations
+    # n_upper·m rows are the only factorizations; the temporal stack is used
+    # through its inverses, never solved against (no identity solve)
     shapes = []
 
     def recording_solver(A, context):
         shapes.append(A.shape)
-        return sym_solver(A, context)
+        solver = sym_solver(A, context)
+        return SimpleNamespace(inverse=solver.inverse) if A.ndim == 3 else solver
 
     monkeypatch.setattr(projection, "sym_solver", recording_solver)
     rng = np.random.default_rng(ct.dim)
@@ -515,7 +527,7 @@ def test_cross_temporal_projector_matches_zero_constrained_reference(ct, monkeyp
     shapes.clear()
     shared = np.repeat(W[:1], n, axis=0)
     out = cross_temporal_projector(ct.cs, ct.te, shared)(X)
-    assert shapes == [(m, m), (u * m, u * m)]
+    assert shapes == [(1, m, m), (u * m, u * m)]
     expected = _zero_reference(ct, shared, X)
     assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
 
