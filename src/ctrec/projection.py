@@ -466,14 +466,15 @@ def _grams(M: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     G_j = Σ_p W[p, j] m_p m_pᵀ over the columns m_p of M: the weight table
     times the table of the columns' outer products, one matrix product per
-    block of at most b Gram rows, so that the block of outer products (its
-    largest temporary, rows × g × r) stays within b·g·r.
+    block of Gram rows: the fewest equal blocks of at most b rows, so that
+    the block of outer products (its largest temporary, rows × g × r) stays
+    within b·g·r.
     """
     g, r = M.shape
     b = W.shape[1]
     if b == 1:  # one weight: its scaled copy of M fits the budget in one product
         return ((M * W.T) @ M.T)[None]
-    rows = min(g, b)
+    rows = -(-g // -(-g // b))  # ⌈g / ⌈g / b⌉⌉
     grams = np.empty((b, g * g))
     outer = np.empty((rows, g, r))
     for a in range(0, g, rows):

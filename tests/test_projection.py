@@ -222,6 +222,19 @@ def test_batched_projector_matches_dense_oracle_in_both_forms(
     assert np.linalg.norm(stacked - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize(
+    "g, r, b", [(7, 5, 2), (5, 9, 3), (6, 11, 1), (24, 60, 40), (3, 4, 5)]
+)
+def test_grams_match_the_scaled_copy_product_in_every_blocking(g, r, b):
+    # one product per block of Gram rows (uneven last blocks included) gives
+    # the same stack as the batched product of scaled copies of M
+    rng = np.random.default_rng(g * r * b)
+    M = rng.integers(-1, 2, size=(g, r)).astype(float)
+    W = rng.uniform(0.2, 5.0, size=(r, b))
+    expected = np.matmul(M * W.T[:, None, :], M.T)
+    assert np.allclose(projection._grams(M, W), expected, rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize("n_upper, n_bottom", [(200, 300), (300, 200)])
 def test_batched_projector_memory_stays_linear_in_the_structure(n_upper, n_bottom):
     # a Gram of 200 x 200 in either form: building the step must not
