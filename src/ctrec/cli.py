@@ -36,7 +36,7 @@ from .reconcile import (
     run_batch,
     sntz,
 )
-from .simulate import pv324_structure, simulate_dataset
+from .simulate import PV324_ORDERS, pv324_structure, simulate_dataset
 
 METHODS = RECONCILE_METHODS + ("bu", "pers-bu")
 
@@ -47,9 +47,12 @@ EXIT_NON_CONVERGENCE = 4
 
 
 def _load_structure(args: argparse.Namespace) -> CrossTemporalStructure:
-    """The structure of --hierarchy, its temporal orders replaced by --orders
-    when given (checked before the file is read)."""
+    """The structure of --hierarchy (bench without one: the built-in
+    324-series shape), its temporal orders replaced by --orders when given
+    (checked before the file is read)."""
     override = _orders(args.orders)
+    if args.hierarchy is None:
+        return pv324_structure(override or PV324_ORDERS)
     agg, labels, orders = io.read_hierarchy_file(args.hierarchy)
     return build_ct(build_cs(agg, labels), build_te(override or orders))
 
@@ -199,7 +202,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     324-series hourly shape), one line per method x covariance."""
     methods = _names(args.methods, "--methods")
     covariances = [c.replace("-", "_") for c in _names(args.covs, "--covs")]
-    ct = pv324_structure() if args.hierarchy is None else _load_structure(args)
+    ct = _load_structure(args)
     data = simulate_dataset(
         ct, n_origins=args.reps, n_residual_origins=20, noise_sd=args.noise, seed=args.seed
     )
@@ -233,10 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, structure=True, threads=True):
-        """A subcommand with --seed; with ``structure``, --hierarchy (required
-        when ``structure`` is True), --orders and --out; with ``threads``,
-        --threads."""
+    def command(name, run, summary, structure=True):
+        """A subcommand; with ``structure``, --hierarchy (required when
+        ``structure`` is True), --orders and --out."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         if structure is not None:
@@ -245,13 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--orders", type=str, default=None,
                            help="override temporal orders, e.g. 24,12,8,6,4,3,2,1")
             p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        if threads:
-            p.add_argument("--threads", type=int, default=1)
         return p
 
     p = command("reconcile", cmd_reconcile, "reconcile base forecast CSVs")
     p.add_argument("--input", type=Path, required=True, help="base forecasts CSV")
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--method", default="oct", choices=METHODS)
     p.add_argument("--cov", default="ols",
                    choices=[name.replace("_", "-") for name in covariance.COVARIANCE_NAMES])
@@ -271,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "tracing slows the run, so take timings in another one")
 
     p = command("simulate", cmd_simulate, "generate a synthetic experiment")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=4, help="forecast origins to generate")
     p.add_argument("--noise", type=float, default=0.5)
     p.add_argument("--residual-origins", type=int, default=20)
@@ -288,12 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate name to flag against in the nRMSE table")
 
     p = command("verify", cmd_verify, "run the randomized verification suites",
-                structure=None, threads=False)
+                structure=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=None,
                    help="instance count for the two heavy suites")
 
     p = command("bench", cmd_bench, "timing/memory comparison on synthetic data",
-                structure=False, threads=False)
+                structure=False)
+    p.add_argument("--seed", type=int, default=0)
     # bench always traces memory (so its timings carry tracemalloc) and never clamps
     p.set_defaults(memory=True, sntz=False)
     p.add_argument("--reps", type=int, default=3, help="origins per combination")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
@@ -201,121 +202,134 @@ def write_blocks_csv(path, blocks: Sequence[ForecastBlock]) -> None:
     )
 
 
-def _row_key(
-    path, lineno: int, row: list[str], seen: dict[str, set]
-) -> tuple[str, str]:
-    """The (origin, series) key of a data row, recorded in ``seen``; a short
-    row or a key seen before is an error naming the line."""
-    if len(row) < 2:
-        raise ValidationError(f"{path}:{lineno}: expected origin,series,values...")
-    origin, series = row[0], row[1]
-    if series in seen.setdefault(origin, set()):
-        raise ValidationError(
-            f"{path}:{lineno}: duplicate row for origin {origin!r}, series {series!r}"
-        )
-    seen[origin].add(series)
-    return origin, series
+def _split_rows(lines):
+    """Each line's key cells and value text, as the csv module splits a line
+    with no quote. A CRLF end stays in the value text: numpy reads it as the
+    end of the line."""
+    for line in lines:
+        row = line.split(",", 2)
+        if len(row) < 3:  # a blank or short line: the line end is in a key
+            line = line.removesuffix("\r")
+            row = line.split(",") if line else []
+        yield row
 
 
-def _numbers(path, lineno: int, cells: list[str]) -> list[float]:
-    try:
-        return [float(v) for v in cells]
-    except ValueError as exc:
-        raise ValidationError(f"{path}:{lineno}: bad number: {exc}")
+def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> list:
+    """(origin, table) pairs sorted by origin from a wide CSV with one row
+    per (origin, series); row i of a table holds series ``labels[i]``.
 
-
-def read_blocks_csv(path, ct: CrossTemporalStructure) -> list[ForecastBlock]:
-    """Read the wide format back into per-origin blocks, sorted by origin.
-
-    A well-formed file is parsed in one vectorized pass; anything irregular
-    is read again line by line, which names the file and line at fault.
+    The header starts ``origin,series``; ``check_columns`` vets the rest of
+    it, and each row has one value per column. Blank lines are skipped. The
+    first faulty row is named as ``file:line``: a short row, a repeated
+    (origin, series), an unknown series, a wrong width or a bad number. An
+    origin missing a series is an error naming the file. Text with a quote
+    or a bare carriage return is split by the csv module; other text by
+    ``str.split``, which gives the same cells.
     """
     with open_input(path) as fh:
         text = fh.read()
-    values = _parse_blocks(text, ct)
-    if values is None:
-        values = _read_block_rows(path, text, ct)
-    blocks = [ForecastBlock(block, ct, origin) for origin, block in values]
+    plain = '"' not in text and text.count("\r") == text.count("\r\n")
+    if plain:
+        lines = iter(text.split("\n"))  # exhausted, it frees the lines
+        header, rows = next(lines).removesuffix("\r").split(","), _split_rows(lines)
+    else:
+        rows = csv.reader(StringIO(text, newline=""))
+        header = next(rows, None)
+    if header is None or header[:2] != ["origin", "series"]:
+        raise ValidationError(f"{path}: expected header origin,series,...")
+    check_columns(header[2:])
+    width = len(header) - 2
+    index = {label: i for i, label in enumerate(labels)}
+    keys: dict[tuple[str, str], None] = {}  # in row order
+    values: list[str] = []
+    fault = None
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            fault = "expected origin,series,values..."
+        elif (row[0], row[1]) in keys:
+            fault = f"duplicate row for origin {row[0]!r}, series {row[1]!r}"
+        elif row[1] not in index:
+            fault = f"unknown series {row[1]!r}"
+        if fault:
+            fault = f"{path}:{lineno}: {fault}"
+            break
+        keys[row[0], row[1]] = None
+        values.append(row[2] if len(row) == 3 else "")
+    # a bad width or number on a row before a faulty key is reported first
+    numbers = _numbers(path, text, values if plain else None, len(keys), width)
+    if fault:
+        raise ValidationError(fault)
+    origins = sorted({origin for origin, _ in keys})
+    if len(keys) < len(origins) * len(labels):  # an origin is missing a series
+        for origin in origins:
+            missing = set(labels) - {series for o, series in keys if o == origin}
+            if missing:
+                raise ValidationError(
+                    f"{path}: origin {origin} is missing series {sorted(missing)[:5]}"
+                )
+    slot = {origin: o for o, origin in enumerate(origins)}
+    tables = np.empty((len(origins), len(labels), width))
+    tables[[slot[o] for o, _ in keys], [index[s] for _, s in keys]] = numbers
+    return list(zip(origins, tables))
+
+
+def _numbers(path, text: str, values, n_rows: int, width: int) -> np.ndarray:
+    """The numbers of the first ``n_rows`` data rows of ``text``, whose value
+    texts ``values`` holds (None after the csv module).
+
+    A number is what ``float`` accepts. One ``np.loadtxt`` call parses the
+    value texts. The cells are read again row by row, for their width and
+    with ``float``, when there are no value texts, when numpy rejects them
+    or skips a blank one, and when the text holds one of ``\\x1c``-``\\x1f``:
+    numpy reads those as blanks and float does not (they are, over every
+    code point, the only cells numpy accepts and float rejects).
+    """
+    if values and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns when every line is blank
+            try:
+                numbers = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
+                if numbers.shape == (n_rows, width):
+                    return numbers
+            except (ValueError, UserWarning):
+                pass
+    rows = []
+    for lineno, row in enumerate(csv.reader(StringIO(text, newline="")), start=1):
+        if len(rows) == n_rows:
+            break
+        if lineno == 1 or not row:
+            continue
+        if len(row) != width + 2:
+            raise ValidationError(
+                f"{path}:{lineno}: series {row[1]!r} has {len(row) - 2} values, "
+                f"expected {width}"
+            )
+        try:
+            rows.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: bad number: {exc}")
+    return np.array(rows).reshape(n_rows, width)
+
+
+def read_blocks_csv(path, ct: CrossTemporalStructure) -> list[ForecastBlock]:
+    """Read the wide format back into per-origin blocks, sorted by origin."""
+    expected = position_labels(ct.te)
+
+    def check_columns(columns):
+        if columns != expected:
+            raise ValidationError(
+                f"{path}: position columns {columns} != canonical {expected}"
+            )
+
+    blocks = [
+        ForecastBlock(table, ct, origin)
+        for origin, table in _read_keyed_csv(path, ct.cs.labels, check_columns)
+    ]
     if not blocks:
         raise ValidationError(f"{path}: no data rows")
     return blocks
-
-
-def _parse_blocks(text: str, ct: CrossTemporalStructure):
-    """(origin, block) pairs sorted by origin from a well-formed file, or
-    None when anything calls for the line reader: a quote, a bare carriage
-    return, a non-ASCII character, a short, unknown, duplicate or missing
-    row, or a cell numpy does not parse."""
-    if '"' in text or "\0" in text or not text.isascii():
-        return None
-    if text.count("\r") != text.count("\r\n"):  # a bare carriage return
-        return None
-    # a CRLF line keeps its "\r" in the values, where numpy reads it as the end
-    header, *lines = text.split("\n")
-    expected = ["origin", "series"] + position_labels(ct.te)
-    if header.removesuffix("\r").split(",") != expected:
-        return None
-    rows = [line.split(",", 2) for line in lines if line]
-    if not rows or any(len(row) != 3 for row in rows):
-        return None
-    origins, series, cells = zip(*rows)
-    if "" in cells or "\r" in cells:  # numpy would skip the line
-        return None
-    index = {label: i for i, label in enumerate(ct.cs.labels)}
-    if not set(series) <= index.keys():
-        return None
-    names = sorted(set(origins))
-    if len(rows) != len(names) * ct.n_series or len(set(zip(origins, series))) != len(rows):
-        return None  # a duplicate row, or an origin missing a series
-    try:
-        numbers = np.loadtxt(cells, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if numbers.shape != (len(rows), ct.n_positions):
-        return None
-    slot = {name: o for o, name in enumerate(names)}
-    out = np.empty((len(names), ct.n_series, ct.n_positions))
-    out[[slot[o] for o in origins], [index[s] for s in series]] = numbers
-    return list(zip(names, out))
-
-
-def _read_block_rows(path, text: str, ct: CrossTemporalStructure):
-    """The line reader: (origin, block) pairs sorted by origin, or a
-    ValidationError naming the first faulty line."""
-    expected = position_labels(ct.te)
-    index = {label: i for i, label in enumerate(ct.cs.labels)}
-    per_origin: dict[str, np.ndarray] = {}
-    seen: dict[str, set] = {}
-    reader = csv.reader(StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None or header[:2] != ["origin", "series"]:
-        raise ValidationError(f"{path}: expected header origin,series,...")
-    if header[2:] != expected:
-        raise ValidationError(
-            f"{path}: position columns {header[2:]} != canonical {expected}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        origin, series = _row_key(path, lineno, row, seen)
-        if series not in index:
-            raise ValidationError(f"{path}:{lineno}: unknown series {series!r}")
-        if len(row) != len(expected) + 2:
-            raise ValidationError(
-                f"{path}:{lineno}: series {series!r} has {len(row) - 2} values, "
-                f"expected {len(expected)}"
-            )
-        block = per_origin.setdefault(
-            origin, np.full((ct.n_series, ct.n_positions), np.nan)
-        )
-        block[index[series]] = _numbers(path, lineno, row[2:])
-    for origin in sorted(per_origin):
-        missing = set(ct.cs.labels) - seen[origin]
-        if missing:
-            raise ValidationError(
-                f"{path}: origin {origin} is missing series {sorted(missing)[:5]}"
-            )
-    return [(origin, per_origin[origin]) for origin in sorted(per_origin)]
 
 
 def write_residuals_csv(path, residuals: ResidualSet, ct: CrossTemporalStructure) -> None:
@@ -340,38 +354,16 @@ def write_history_csv(path, histories: np.ndarray, ct: CrossTemporalStructure) -
 
 
 def read_history_csv(path, ct: CrossTemporalStructure) -> dict[str, np.ndarray]:
-    """Histories keyed by origin id, rows in bottom-label order."""
-    bottoms = ct.cs.labels[ct.cs.n_upper :]
-    index = {label: i for i, label in enumerate(bottoms)}
-    out: dict[str, np.ndarray] = {}
-    seen: dict[str, set] = {}
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["origin", "series"]:
-            raise ValidationError(f"{path}: expected header origin,series,...")
-        width = len(header) - 2
-        if width < ct.te.m:
+    """Histories keyed by origin id, rows in bottom-label order, with every
+    column of the file (at least m; pers-bu uses the last m)."""
+
+    def check_columns(columns):
+        if len(columns) < ct.te.m:
             raise ValidationError(
-                f"{path}: history has {width} columns, needs at least {ct.te.m}"
+                f"{path}: history has {len(columns)} columns, needs at least {ct.te.m}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            origin, series = _row_key(path, lineno, row, seen)
-            if series not in index:
-                raise ValidationError(f"{path}:{lineno}: unknown bottom series {series!r}")
-            if len(row) != width + 2:
-                raise ValidationError(
-                    f"{path}:{lineno}: series {series!r} has {len(row) - 2} values, "
-                    f"expected {width}"
-                )
-            hist = out.setdefault(origin, np.full((len(bottoms), width), np.nan))
-            hist[index[series]] = _numbers(path, lineno, row[2:])
-    for origin, hist in out.items():
-        if np.isnan(hist).any():
-            raise ValidationError(f"{path}: origin {origin}: incomplete history")
-    return out
+
+    return dict(_read_keyed_csv(path, ct.cs.labels[ct.cs.n_upper :], check_columns))
 
 
 # -- level maps ------------------------------------------------------------------

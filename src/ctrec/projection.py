@@ -203,29 +203,21 @@ def _cholesky_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.n
 
 
 def _gram_solver(G, context: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor a (possibly sparse) Gram matrix once and return its solve.
+    """Factor a sparse (CSC) Gram matrix once and return its solve.
 
     A large sparse Gram is factored under a symmetric minimum-degree
     ordering of G + Gᵀ: the Gram is symmetric positive definite, and the
     default column ordering fills the pv324 constraint Gram ~13× more.
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    r = G.shape[0]
-    if sp.issparse(G):
-        if r <= DENSE_SOLVE_CUTOFF:
-            return sym_solver(G.toarray(), context)
-        try:
-            lu = spla.splu(
-                G.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:
-            raise SingularSystemError(f"{context} could not be factored: {exc}")
-        return lu.solve
-    return sym_solver(np.asarray(G, dtype=float), context)
+    if G.shape[0] <= DENSE_SOLVE_CUTOFF:
+        return sym_solver(G.toarray(), context)
+    try:
+        lu = spla.splu(G, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SingularSystemError(f"{context} could not be factored: {exc}")
+    return lu.solve
 
 
 @dataclass

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import ctrec
+import ctrec.cli
 import ctrec.projection as projection
 import ctrec.reconcile as reconcile
 from ctrec.cli import main
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.io import read_blocks_csv, read_hierarchy_file, read_reports_jsonl
+from ctrec.simulate import simulate_dataset
 
 TOY_HIERARCHY = """\
 orders = 4,2,1
@@ -448,11 +450,16 @@ def test_verify_rejects_an_instance_count_below_one(count, capsys):
         ["verify", "--orders", "2,1"],
         ["verify", "--out", "elsewhere"],
         ["bench", "--threads", "9"],
+        ["simulate", "--threads", "9", "--hierarchy", "h.txt"],
+        ["evaluate", "--threads", "9", "--hierarchy", "h.txt", "--actuals", "a.csv"],
+        ["reconcile", "--seed", "9", "--hierarchy", "h.txt", "--input", "b.csv"],
+        ["evaluate", "--seed", "9", "--hierarchy", "h.txt", "--actuals", "a.csv"],
     ],
     ids=lambda args: " ".join(args[:2]),
 )
 def test_commands_reject_options_they_would_ignore(args, capsys):
-    # verify reads only --seed and --instances, bench never runs threads
+    # verify reads only --seed and --instances; only reconcile runs threads,
+    # and only simulate, verify and bench draw random numbers
     with pytest.raises(SystemExit) as exit_:
         main(args)
     assert exit_.value.code == 2
@@ -477,6 +484,24 @@ def test_bench_command_smoke(workdir, capsys):
     captured = capsys.readouterr().out
     for name in ("cs[wlsv]", "seq-cst[wlsv]", "ka-tcs[wlsv]", "bu[wlsv]"):
         assert name in captured
+
+
+def test_bench_applies_orders_to_the_built_in_shape(workdir, monkeypatch, capsys):
+    # without --hierarchy, --orders reshapes the 324-series instance
+    simulated = []
+
+    def record(ct, **kwargs):
+        simulated.append(ct)
+        return simulate_dataset(ct, **kwargs)
+
+    monkeypatch.setattr(ctrec.cli, "simulate_dataset", record)
+    assert run(
+        ["bench", "--orders", "2,1", "--reps", 1, "--methods", "bu", "--covs", "ols",
+         "--out", workdir / "bench-orders"]
+    ) == 0
+    [ct] = simulated
+    assert ct.te.orders == (2, 1) and ct.n_series == 324
+    assert "bu[ols]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("option", ["--methods", "--covs"])

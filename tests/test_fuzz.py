@@ -6,6 +6,7 @@ Examples are derandomized so the suite stays deterministic.
 
 import csv
 import io
+from io import StringIO
 from unittest import mock
 
 import numpy as np
@@ -18,12 +19,14 @@ import ctrec.io
 from ctrec.errors import ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.io import (
+    open_input,
     position_labels,
     read_blocks_csv,
     read_hierarchy_file,
     read_history_csv,
     read_residuals_csv,
 )
+from ctrec.reconcile import ForecastBlock
 
 FUZZ = settings(
     derandomize=True,
@@ -154,24 +157,139 @@ def test_blocks_and_residuals_csv_parse_or_raise_validation_error(scratch, heade
             pass
 
 
-# The vectorized reader against the line reader: a well-formed file with one
+# The line reader that the keyed-CSV reader replaced, kept as the oracle of
+# the parity tests below: it reads row by row with the csv module and float,
+# and names the first faulty line.
+
+
+def _row_key(
+    path, lineno: int, row: list[str], seen: dict[str, set]
+) -> tuple[str, str]:
+    """The (origin, series) key of a data row, recorded in ``seen``; a short
+    row or a key seen before is an error naming the line."""
+    if len(row) < 2:
+        raise ValidationError(f"{path}:{lineno}: expected origin,series,values...")
+    origin, series = row[0], row[1]
+    if series in seen.setdefault(origin, set()):
+        raise ValidationError(
+            f"{path}:{lineno}: duplicate row for origin {origin!r}, series {series!r}"
+        )
+    seen[origin].add(series)
+    return origin, series
+
+
+def _numbers(path, lineno: int, cells: list[str]) -> list[float]:
+    try:
+        return [float(v) for v in cells]
+    except ValueError as exc:
+        raise ValidationError(f"{path}:{lineno}: bad number: {exc}")
+
+
+def _read_block_rows(path, text: str, ct):
+    """The line reader: (origin, block) pairs sorted by origin, or a
+    ValidationError naming the first faulty line."""
+    expected = position_labels(ct.te)
+    index = {label: i for i, label in enumerate(ct.cs.labels)}
+    per_origin: dict[str, np.ndarray] = {}
+    seen: dict[str, set] = {}
+    reader = csv.reader(StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or header[:2] != ["origin", "series"]:
+        raise ValidationError(f"{path}: expected header origin,series,...")
+    if header[2:] != expected:
+        raise ValidationError(
+            f"{path}: position columns {header[2:]} != canonical {expected}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        origin, series = _row_key(path, lineno, row, seen)
+        if series not in index:
+            raise ValidationError(f"{path}:{lineno}: unknown series {series!r}")
+        if len(row) != len(expected) + 2:
+            raise ValidationError(
+                f"{path}:{lineno}: series {series!r} has {len(row) - 2} values, "
+                f"expected {len(expected)}"
+            )
+        block = per_origin.setdefault(
+            origin, np.full((ct.n_series, ct.n_positions), np.nan)
+        )
+        block[index[series]] = _numbers(path, lineno, row[2:])
+    for origin in sorted(per_origin):
+        missing = set(ct.cs.labels) - seen[origin]
+        if missing:
+            raise ValidationError(
+                f"{path}: origin {origin} is missing series {sorted(missing)[:5]}"
+            )
+    return [(origin, per_origin[origin]) for origin in sorted(per_origin)]
+
+
+def _line_read_blocks(path, ct):
+    with open_input(path) as fh:
+        text = fh.read()
+    values = _read_block_rows(path, text, ct)
+    blocks = [ForecastBlock(block, ct, origin) for origin, block in values]
+    if not blocks:
+        raise ValidationError(f"{path}: no data rows")
+    return blocks
+
+
+def _line_read_history(path, ct):
+    """Histories keyed by origin id, rows in bottom-label order."""
+    bottoms = ct.cs.labels[ct.cs.n_upper :]
+    index = {label: i for i, label in enumerate(bottoms)}
+    out: dict[str, np.ndarray] = {}
+    seen: dict[str, set] = {}
+    with open_input(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:2] != ["origin", "series"]:
+            raise ValidationError(f"{path}: expected header origin,series,...")
+        width = len(header) - 2
+        if width < ct.te.m:
+            raise ValidationError(
+                f"{path}: history has {width} columns, needs at least {ct.te.m}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            origin, series = _row_key(path, lineno, row, seen)
+            if series not in index:
+                raise ValidationError(f"{path}:{lineno}: unknown bottom series {series!r}")
+            if len(row) != width + 2:
+                raise ValidationError(
+                    f"{path}:{lineno}: series {series!r} has {len(row) - 2} values, "
+                    f"expected {width}"
+                )
+            hist = out.setdefault(origin, np.full((len(bottoms), width), np.nan))
+            hist[index[series]] = _numbers(path, lineno, row[2:])
+    for origin, hist in out.items():
+        if np.isnan(hist).any():
+            raise ValidationError(f"{path}: origin {origin}: incomplete history")
+    return out
+
+
+# The keyed-CSV reader against the line reader: a well-formed file with one
 # edit either parses to the same blocks on both, or fails with the same text.
 GOOD_ROWS = [
     "0,tot,3.0,1.0,2.0", "0,a,1.0,0.5,0.5", "0,b,2.0,0.5,1.5",
     "1,b,-2.5,-1.0,-1.5", "1,tot,1e-3,2.0,-1.999", "1,a,2.501,3.0,-0.5",
 ]
+# \x1c-\x1f: numpy reads them as blanks around a number, float does not
 CELL = st.sampled_from(
     ["1_0", " 1.5 ", "nan", "inf", "-0", "1e309", "", "x", "1,2", '"1"', "1#2",
-     "tot", "c", '"tot"', "t#ot", "\t2\t", "0x1", "١"]
+     "tot", "c", '"tot"', "t#ot", "\t2\t", "0x1", "١", "1.0\x1c", "\x1d2",
+     "3\x1e", "\x1f-1"]
 )
 EDIT_TEXT = st.one_of(
-    st.sampled_from(['"', "\r", "\n", "\r\n", ",", "#", " ", "_", "é"]),
-    st.text(alphabet=',\r\n" #._-0123456789abtoé', max_size=4),
+    st.sampled_from(['"', "\r", "\n", "\r\n", ",", "#", " ", "_", "é",
+                     "\x1c", "\x1d", "\x1e", "\x1f"]),
+    st.text(alphabet=',\r\n" #._-0123456789abtoé\x1c\x1f', max_size=4),
 )
 
 
-def _file(rows, newline="\n"):
-    return newline.join([",".join(BLOCK_HEADER), *rows]) + newline
+def _file(rows, newline="\n", header=BLOCK_HEADER):
+    return newline.join([",".join(header), *rows]) + newline
 
 
 def _with(row, index=1, rows=GOOD_ROWS):
@@ -180,15 +298,15 @@ def _with(row, index=1, rows=GOOD_ROWS):
 
 
 @st.composite
-def edited_files(draw):
+def edited_files(draw, header=BLOCK_HEADER, labels=CT.cs.labels):
     n_origins = draw(st.integers(1, 3))
     values = draw(
-        arrays(float, (n_origins, CT.n_series, CT.n_positions),
+        arrays(float, (n_origins, len(labels), len(header) - 2),
                elements=st.floats(-1e6, 1e6, allow_subnormal=False))
     )
     rows = draw(st.permutations([
         ",".join([f"{o:04d}", label, *map(repr, values[o, i].tolist())])
-        for o in range(n_origins) for i, label in enumerate(CT.cs.labels)
+        for o in range(n_origins) for i, label in enumerate(labels)
     ]))
     k = draw(st.integers(0, len(rows) - 1))
     edit = draw(st.sampled_from(["none", "drop", "repeat", "cell", "splice"]))
@@ -200,7 +318,7 @@ def edited_files(draw):
         cells = rows[k].split(",")
         cells[draw(st.integers(0, len(cells) - 1))] = draw(CELL)
         rows[k] = ",".join(cells)
-    text = _file(rows, draw(st.sampled_from(["\n", "\r\n"])))
+    text = _file(rows, draw(st.sampled_from(["\n", "\r\n"])), header)
     if edit == "splice":
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(i + 3, len(text))))
@@ -208,9 +326,9 @@ def edited_files(draw):
     return text
 
 
-def _outcome(path):
+def _outcome(read, path, ct=CT):
     try:
-        return [(b.origin_id, b.values.tobytes()) for b in read_blocks_csv(path, CT)]
+        return [(b.origin_id, b.values.tobytes()) for b in read(path, ct)]
     except ValidationError as exc:
         return str(exc)
 
@@ -234,24 +352,64 @@ def _outcome(path):
 @example(text=_file(_with("0,c,1.0,0.5,0.5")))  # an unknown series
 @example(text=_file(_with(None)))  # a missing series
 @example(text=_file(_with("0,a,1.0\r0.5,0.5")))  # a bare carriage return
+@example(text=_file(_with("0,a,1.0\x1c,0.5,0.5")))  # numpy's blank, float's fault
+@example(text=_file(_with('0,a,1.0\x1c,0.5,0.5', 4) + ['"1",x,1,1,1']))
+@example(text=_file(_with("0,a,\x1f1.0,0.5,0.5")))
+@example(text=_file(_with('0,a,"1,0",0.5,0.5')))  # a comma inside a quoted cell
+@example(text=_file(_with('0,a,"1.0\n",0.5,0.5')))  # a line break inside one
+@example(text=_file(_with("0,a,x,0.5,0.5", 1) + ["2,c,1,1,1"]))  # bad number first
+@example(text=_file(_with("2,c,1,1,1", 1) + ["0,a,x,0.5,0.5"]))  # bad key first
 def test_vectorized_reader_matches_the_line_reader(scratch, text):
     path = scratch / "edited.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(ctrec.io, "_parse_blocks", return_value=None):
-        expected = _outcome(path)
-    assert _outcome(path) == expected
+    assert _outcome(read_blocks_csv, path) == _outcome(_line_read_blocks, path)
 
 
-def test_vectorized_reader_takes_well_formed_files():
-    # LF or CRLF endings and blank lines stay on the vectorized path
+def test_vectorized_reader_takes_well_formed_files(scratch):
+    # LF or CRLF endings and blank lines: one numpy parse, no csv module and
+    # no float re-read
+    path = scratch / "well-formed.csv"
     for text in (
         _file(GOOD_ROWS),
         _file(GOOD_ROWS, "\r\n"),
         _file(["", *GOOD_ROWS[:3], "", *GOOD_ROWS[3:], ""]),
     ):
-        pairs = ctrec.io._parse_blocks(text, CT)
-        assert [origin for origin, _ in pairs] == ["0", "1"]
-        assert pairs[0][1][0].tolist() == [3.0, 1.0, 2.0]
+        path.write_text(text, newline="")
+        with mock.patch.object(ctrec.io.csv, "reader", side_effect=AssertionError), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            blocks = read_blocks_csv(path, CT)
+        assert loadtxt.call_count == 1
+        assert [b.origin_id for b in blocks] == ["0", "1"]
+        assert blocks[0].values[0].tolist() == [3.0, 1.0, 2.0]
+
+
+# Histories: the two readers agree on the values, or name the same file:line
+# (the shared reader words two messages its own way).
+WIDE_HISTORY_HEADER = HISTORY_HEADER + ["h3"]
+
+
+def _history_outcome(read, path):
+    try:
+        return {o: h.tobytes() for o, h in read(path, CT).items()}
+    except ValidationError as exc:
+        return str(exc)[len(str(path)) :].split(" ", 1)[0]
+
+
+@settings(FUZZ, max_examples=150)
+@given(text=st.one_of(
+    edited_files(HISTORY_HEADER, ["a", "b"]),
+    edited_files(WIDE_HISTORY_HEADER, ["a", "b"]),
+))
+@example(text=_file(["0,a,1,2", "0,b,3,4"], "\r\n", HISTORY_HEADER))
+@example(text=_file(["0,a,1,2", "0,c,3,4"], header=HISTORY_HEADER))  # unknown series
+@example(text=_file(["0,a,1,2", "1,b,3,4"], header=HISTORY_HEADER))  # missing series
+@example(text=_file(["0,a,1,2\x1c", "0,b,3,4"], header=HISTORY_HEADER))
+def test_history_reader_matches_the_line_reader(scratch, text):
+    path = scratch / "history-edited.csv"
+    path.write_bytes(text.encode())
+    assert _history_outcome(read_history_csv, path) == _history_outcome(
+        _line_read_history, path
+    )
 
 
 @FUZZ

@@ -1,6 +1,7 @@
 """Tests for file formats: hierarchy specs, wide CSVs, reports."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,52 @@ def test_history_csv_round_trip(tmp_path):
     back = read_history_csv(path, ct)
     assert np.array_equal(back["0000"], histories[0])
     assert np.array_equal(back["0001"], histories[1])
+
+
+def test_keyed_csvs_round_trip_labels_that_need_quoting(tmp_path):
+    # csv.writer quotes these labels, so the reader takes its csv-module path
+    cs = build_cs(np.array([[1.0, 1.0]]), ['to"t', "a,1", "b"])
+    ct = build_ct(cs, build_te([2, 1]))
+    rng = np.random.default_rng(3)
+    blocks = [ForecastBlock(rng.normal(size=(3, 3)), ct, str(o)) for o in range(2)]
+    path = tmp_path / "quoted.csv"
+    write_blocks_csv(path, blocks)
+    assert '"to""t"' in path.read_text() and '"a,1"' in path.read_text()
+    back = read_blocks_csv(path, ct)
+    assert [b.origin_id for b in back] == ["0", "1"]
+    assert all(np.array_equal(b.values, a.values) for a, b in zip(blocks, back))
+    histories = rng.normal(size=(2, 2, 2))
+    write_history_csv(path, histories, ct)
+    back = read_history_csv(path, ct)
+    assert np.array_equal(back["0000"], histories[0])
+    assert np.array_equal(back["0001"], histories[1])
+
+
+def test_blocks_csv_with_every_value_blank_names_the_first_line(tmp_path):
+    # one position per series: every value text is empty, and numpy would
+    # only warn that the input holds no data
+    ct = toy_ct((1,))
+    path = tmp_path / "blank.csv"
+    path.write_text("origin,series,k1_1\n0,u1,\n0,b1,\n0,b2,\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=r"blank\.csv:2: bad number"):
+            read_blocks_csv(path, ct)
+    assert not caught
+
+
+def test_history_csv_reads_crlf_and_a_header_wider_than_m(tmp_path):
+    ct = toy_ct((2, 1))  # m = 2; pers-bu uses the last two columns
+    path = tmp_path / "hist.csv"
+    path.write_bytes(
+        b"origin,series,h1,h2,h3\r\n0,b2,4.0,5.0,6.0\r\n\r\n0,b1,1.0,2.0,3.0\r\n"
+    )
+    back = read_history_csv(path, ct)
+    assert list(back) == ["0"]
+    assert back["0"].tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    path.write_bytes(b"origin,series,h1,h2,h3\r\n0,b1,1.0,2.0\r\n")
+    with pytest.raises(ValidationError, match=r"hist\.csv:2: .*2 values, expected 3"):
+        read_history_csv(path, ct)
 
 
 def test_history_csv_malformed_rows_name_line(tmp_path):
