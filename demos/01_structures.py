@@ -16,14 +16,14 @@ np.set_printoptions(linewidth=120, suppress=True)
 cs = build_cs(np.array([[1.0, 1.0]]), labels=["total", "left", "right"])
 print("cross-sectional structure:", cs.n_series, "series",
       f"({cs.n_upper} upper, {cs.n_bottom} bottom)")
-print("summing matrix (bottom -> all):\n", cs.summing().toarray())
-print("constraint matrix (rows must vanish):\n", cs.constraint().toarray())
+print("summing matrix (bottom -> all):\n", cs.summing_dense)
+print("constraint matrix (rows must vanish):\n", cs.constraint_dense)
 
 # Quarterly grid: annual, semi-annual, quarterly values of one year.
 te = build_te([4, 2, 1])
 print("\ntemporal grid: orders", te.orders, "->", te.n_positions,
       "positions per cycle (aggregated:", te.k_star, "+ finest:", te.m, ")")
-print("temporal summing matrix:\n", te.summing().toarray())
+print("temporal summing matrix:\n", te.summing_dense)
 print("row sums equal each position's order:", te.row_sums)
 
 ct = build_ct(cs, te)

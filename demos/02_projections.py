@@ -10,7 +10,8 @@ orthogonal one. All of this is visible numerically on a small instance.
 import numpy as np
 import scipy.linalg as sla
 
-from ctrec import build_cs, build_ct, build_te, structural_projector, zero_projector
+from ctrec import build_cs, build_ct, build_te
+from ctrec.reference import structural_projector, zero_projector
 
 rng = np.random.default_rng(0)
 np.set_printoptions(precision=4, suppress=True)

@@ -39,11 +39,6 @@ from .hierarchy import (
     build_ct,
     build_te,
 )
-from .projection import (
-    Projector,
-    structural_projector,
-    zero_projector,
-)
 from .reconcile import (
     ForecastBlock,
     ReconcileReport,
@@ -74,7 +69,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "NrmseTable",
     "NumericalError",
-    "Projector",
     "ReconcileReport",
     "ReconciliationError",
     "ResidualSet",
@@ -109,6 +103,4 @@ __all__ = [
     "sigma_wlsv",
     "simulate_dataset",
     "sntz",
-    "structural_projector",
-    "zero_projector",
 ]

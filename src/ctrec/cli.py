@@ -107,6 +107,8 @@ def _baseline(method: str, ct: CrossTemporalStructure, histories):
 
 
 def cmd_reconcile(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     ct = _load_structure(args)
     blocks = io.read_blocks_csv(args.input, ct)
     residuals = io.read_residuals_csv(args.residuals, ct) if args.residuals else None
@@ -181,7 +183,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import run_all  # the sparse reference path: scipy, only here
+    from .verify import run_all  # ctrec.reference and scipy load only here
 
     results = run_all(seed=args.seed, instances=args.instances)
     for result in results:

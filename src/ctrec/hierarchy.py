@@ -14,10 +14,10 @@ canonical layout used everywhere in this package:
 
 Summing and constraint matrices are built exactly, with integer-valued
 entries whenever the aggregation weights are integers, so identities such
-as ``constraint @ summing == 0`` hold exactly in floating point. The dense
-forms (``summing_dense``, ``constraint_dense``) are what reconciliation
-uses; the sparse ones, and the expanded matrices of the full vector, serve
-the reference projections and import ``scipy.sparse`` when called.
+as ``constraint @ summing == 0`` hold exactly in floating point. Each
+structure keeps them in one dense form (``summing_dense``,
+``constraint_dense``); only the expanded matrices of the full vector are
+sparse, for the reference projections, and import ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -42,13 +42,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
-
-
-def _sparse(a: np.ndarray) -> sp.csr_matrix:
-    """A dense operator's sparse form, for the reference projections."""
-    import scipy.sparse as sp
-
-    return sp.csr_matrix(a)
 
 
 @dataclass(frozen=True)
@@ -87,12 +80,6 @@ class CrossSectionalStructure:
     def constraint_dense(self) -> np.ndarray:
         """Zero constraints: each upper value minus its weighted bottom sum."""
         return _readonly(np.hstack([np.eye(self.n_upper), -self.agg]))
-
-    def summing(self) -> sp.csr_matrix:
-        return _sparse(self.summing_dense)
-
-    def constraint(self) -> sp.csr_matrix:
-        return _sparse(self.constraint_dense)
 
     @property
     def row_sums(self) -> np.ndarray:
@@ -155,12 +142,6 @@ class TemporalStructure:
         k = self.k_star
         return _readonly(np.hstack([np.eye(k), -self.summing_dense[:k]]))
 
-    def summing(self) -> sp.csr_matrix:
-        return _sparse(self.summing_dense)
-
-    def constraint(self) -> sp.csr_matrix:
-        return _sparse(self.constraint_dense)
-
     @property
     def row_sums(self) -> np.ndarray:
         """Row sums of the temporal summing matrix: the order of each position."""
@@ -212,14 +193,13 @@ class CrossTemporalStructure:
         """
         import scipy.sparse as sp
 
+        S_cs, S_te = self.cs.summing_dense, self.te.summing_dense
         if framework == "cs":
-            return sp.kron(
-                self.cs.summing(), sp.identity(self.n_positions), format="csr"
-            )
+            return sp.kron(S_cs, sp.identity(self.n_positions), format="csr")
         if framework == "te":
-            return sp.kron(sp.identity(self.n_series), self.te.summing(), format="csr")
+            return sp.kron(sp.identity(self.n_series), S_te, format="csr")
         if framework == "ct":
-            return sp.kron(self.cs.summing(), self.te.summing(), format="csr")
+            return sp.kron(S_cs, S_te, format="csr")
         raise StructureError(f"unknown framework {framework!r}")
 
     def full_constraint(self, framework: str = "ct") -> sp.csr_matrix:
@@ -231,18 +211,14 @@ class CrossTemporalStructure:
         """
         import scipy.sparse as sp
 
+        C_cs, C_te = self.cs.constraint_dense, self.te.constraint_dense
         if framework == "cs":
-            return sp.kron(
-                self.cs.constraint(), sp.identity(self.n_positions), format="csr"
-            )
+            return sp.kron(C_cs, sp.identity(self.n_positions), format="csr")
         if framework == "te":
-            return sp.kron(
-                sp.identity(self.n_series), self.te.constraint(), format="csr"
-            )
+            return sp.kron(sp.identity(self.n_series), C_te, format="csr")
         if framework == "ct":
-            top = sp.kron(
-                sp.identity(self.te.m), self.cs.constraint(), format="csr"
-            ) @ self._hf_selector()
+            top = sp.kron(sp.identity(self.te.m), C_cs, format="csr")
+            top = top @ self._hf_selector()
             return sp.vstack([top, self.full_constraint("te")], format="csr")
         raise StructureError(f"unknown framework {framework!r}")
 

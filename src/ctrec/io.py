@@ -42,6 +42,16 @@ def open_input(path):
             raise ValidationError(f"cannot read {path}: {exc}")
 
 
+def _csv_rows(path, lines):
+    """The csv module's rows of ``lines``; a line it rejects (one holding a
+    cell over its field size limit) raises ValidationError naming it."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}")
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -129,7 +139,7 @@ def read_hierarchy_file(path) -> tuple[np.ndarray, list[str], list[int]]:
 
 def _read_weight_matrix(path: Path):
     with open_input(path) as fh:
-        rows = list(csv.reader(fh))
+        rows = list(_csv_rows(path, fh))
     if len(rows) < 2 or len(rows[0]) < 2:
         raise ValidationError(f"{path}: weight matrix needs a header and rows")
     bottom_labels = [c.strip() for c in rows[0][1:]]
@@ -150,15 +160,21 @@ def _read_weight_matrix(path: Path):
 def write_hierarchy_file(path, ct: CrossTemporalStructure) -> None:
     """Write a hierarchy spec file that round-trips through the reader.
 
-    Nonnegative-integer hierarchies use the row grammar; anything else falls
-    back to an explicit weight-matrix CSV next to the file.
+    Nonnegative-integer hierarchies whose labels are non-empty and free of
+    ``,`` ``:`` ``#`` ``=`` and line breaks use the row grammar; anything
+    else falls back to an explicit weight-matrix CSV next to the file.
     """
     path = Path(path)
     cs = ct.cs
+    bad = [label for label in cs.labels if label != label.strip()]
+    if bad:  # both readers strip labels
+        raise ValidationError(f"series label {bad[0]!r} would lose its outer whitespace")
     lines = ["orders = " + ",".join(str(k) for k in ct.te.orders)]
     bottoms = cs.labels[cs.n_upper :]
     integral = bool(np.all((cs.agg >= 0) & (cs.agg == np.round(cs.agg))))
-    if integral:
+    # splitlines() == [label]: non-empty, and no line boundary
+    plain = all(s.splitlines() == [s] and not set(s) & set(",:#=") for s in cs.labels)
+    if integral and plain:
         for r in range(cs.n_upper):
             names = []
             for j, b in enumerate(bottoms):
@@ -233,7 +249,7 @@ def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> list:
         lines = iter(text.split("\n"))  # exhausted, it frees the lines
         header, rows = next(lines).removesuffix("\r").split(","), _split_rows(lines)
     else:
-        rows = csv.reader(StringIO(text, newline=""))
+        rows = _csv_rows(path, StringIO(text, newline=""))
         header = next(rows, None)
     if header is None or header[:2] != ["origin", "series"]:
         raise ValidationError(f"{path}: expected header origin,series,...")
@@ -296,7 +312,7 @@ def _numbers(path, text: str, values, n_rows: int, width: int) -> np.ndarray:
             except (ValueError, UserWarning):
                 pass
     rows = []
-    for lineno, row in enumerate(csv.reader(StringIO(text, newline="")), start=1):
+    for lineno, row in enumerate(_csv_rows(path, StringIO(text, newline="")), start=1):
         if len(rows) == n_rows:
             break
         if lineno == 1 or not row:
@@ -377,7 +393,7 @@ def read_levels_csv(path, ct: CrossTemporalStructure) -> tuple[str, ...]:
     known = set(ct.cs.labels)
     mapping: dict[str, str] = {}
     with open_input(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(_csv_rows(path, fh), start=1):
             if not row or (lineno == 1 and row[0] == "series"):
                 continue
             if len(row) < 2:

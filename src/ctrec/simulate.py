@@ -121,6 +121,10 @@ def simulate_dataset(
         raise ValidationError(f"need at least one origin, got {n_origins}")
     if not noise_sd >= 0:
         raise ValidationError(f"noise_sd must be at least 0, got {noise_sd}")
+    if n_residual_origins < 2:
+        raise ValidationError(
+            f"n_residual_origins must be at least 2, got {n_residual_origins}"
+        )
     rng = np.random.default_rng(seed)
     n, q = ct.n_series, ct.n_positions
     scales = rng.uniform(0.5, 1.5, size=(n, 1))
@@ -137,7 +141,7 @@ def simulate_dataset(
         histories.append(bottom + rng.normal(size=bottom.shape) * noise_sd)
 
     residuals = None
-    if n_residual_origins >= 2 and noise_sd > 0:
+    if noise_sd > 0:
         residuals = ResidualSet(
             rng.normal(size=(n_residual_origins, n, q)) * cell_sd[None, :, :]
         )

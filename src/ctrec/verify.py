@@ -16,7 +16,6 @@ import numpy as np
 from .covariance import ResidualSet, sigma_wlsv
 from .errors import ValidationError
 from .hierarchy import CrossTemporalStructure
-from .projection import structural_projector, zero_projector
 from .reconcile import (
     ForecastBlock,
     frobenius_gap,
@@ -28,6 +27,7 @@ from .reconcile import (
     reconcile_te,
     sntz,
 )
+from .reference import structural_projector, zero_projector
 from .simulate import random_structure
 
 
@@ -214,8 +214,8 @@ def check_dense_oracle(seed: int = 0, instances: int = 5, tol: float = 1e-9) -> 
         m_ct = structural_projector(ct.full_summing("ct"), sigma.diag).dense()
         cells = sigma.cells()
         starts = [ct.te.order_slice(k).start for k in ct.te.orders]
-        m_te_bar = _mean_dense(ct.te.summing(), cells)
-        m_cs_bar = _mean_dense(ct.cs.summing(), cells[:, starts].T)
+        m_te_bar = _mean_dense(ct.te.summing_dense, cells)
+        m_cs_bar = _mean_dense(ct.cs.summing_dense, cells[:, starts].T)
         eye_n, eye_q = np.eye(ct.n_series), np.eye(ct.n_positions)
         pairs = [
             (reconcile_cs(block, sigma), m_cs @ x),

@@ -12,7 +12,6 @@ import numpy as np
 from ctrec.cli import main as cli_main
 from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
 from ctrec.evaluate import EvalFrame, mcb_nemenyi, nrmse
-from ctrec.projection import structural_projector
 from ctrec.reconcile import (
     ForecastBlock,
     reconcile_iterative,
@@ -20,6 +19,7 @@ from ctrec.reconcile import (
     reconcile_oct,
     sntz,
 )
+from ctrec.reference import structural_projector
 from ctrec.simulate import pv324_structure, simulate_dataset
 from ctrec.verify import (
     check_alternating_convergence,
@@ -78,7 +78,7 @@ def test_criterion_5_dense_oracle_equivalence():
     sigma = sigma_wlsv(ct, res)
     m_cs_full = structural_projector(ct.full_summing("cs"), sigma.diag).dense()
     m_te_bar = np.mean(
-        [structural_projector(ct.te.summing(), row).dense() for row in sigma.cells()],
+        [structural_projector(ct.te.summing_dense, row).dense() for row in sigma.cells()],
         axis=0,
     )
     dense = np.kron(np.eye(ct.n_series), m_te_bar) @ m_cs_full

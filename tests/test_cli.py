@@ -209,6 +209,36 @@ def test_reconcile_malformed_rows_exit_2_with_file_and_line(workdir, capsys):
     assert "hist.csv:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader", ["forecasts", "unquoted", "levels", "matrix"])
+def test_a_csv_cell_over_the_field_size_limit_exits_2_naming_the_line(
+    workdir, capsys, reader
+):
+    # the csv module refuses a cell over 131 072 characters; each reader that
+    # uses it (the unquoted forecasts reach it once numpy rejects the cell)
+    # names the file and line instead of ending in a traceback
+    sim = simulate(workdir)
+    big = "1" * 200_000
+    hierarchy, bad = workdir / "hier.txt", workdir / "bad.csv"
+    argv = ["reconcile", "--input", bad]
+    if reader == "levels":
+        bad.write_text(f'series,level\ntotal,"{big}"\n')
+        argv = ["evaluate", "--actuals", sim / "actuals.csv", "--levels", bad]
+    elif reader == "matrix":
+        bad.write_text(f'series,a,b\ntotal,1,1\nzone,"{big}",0\n')
+        hierarchy = workdir / "matrix.txt"
+        hierarchy.write_text("orders = 4,2,1\nmatrix = bad.csv\n")
+    else:
+        lines = (sim / "base.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = f'"{big}"' if reader == "forecasts" else f"x{big}"
+        lines[2] = ",".join(cells)
+        bad.write_text("\n".join(lines) + "\n")
+    code = run(argv + ["--hierarchy", hierarchy, "--out", workdir / "x"])
+    assert code == 2
+    line = 2 if reader == "levels" else 3
+    assert f"bad.csv:{line}: field larger than field limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--hierarchy", "--input", "--residuals", "--history"])
 def test_reconcile_missing_input_file_exits_2_naming_it(workdir, capsys, flag):
     sim = simulate(workdir)
@@ -443,6 +473,30 @@ def test_verify_rejects_an_instance_count_below_one(count, capsys):
 
 
 @pytest.mark.parametrize(
+    "option, value, minimum",
+    [
+        ("--threads", 0, 1),
+        ("--threads", -4, 1),
+        ("--residual-origins", 1, 2),
+        ("--residual-origins", 0, 2),
+        ("--residual-origins", -3, 2),
+    ],
+)
+def test_counts_below_their_minimum_exit_2(workdir, capsys, option, value, minimum):
+    # a thread count below 1 used to run serially, and fewer than 2 residual
+    # origins silently wrote no residuals.csv
+    argv = ["simulate"]
+    if option == "--threads":
+        sim = simulate(workdir)
+        argv = ["reconcile", "--input", sim / "base.csv", "--method", "oct"]
+    out = workdir / "out"
+    code = run(argv + ["--hierarchy", workdir / "hier.txt", option, value, "--out", out])
+    assert code == 2
+    assert f"at least {minimum}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["verify", "--threads", "9"],
@@ -519,20 +573,26 @@ def test_bench_rejects_an_empty_name_list(workdir, capsys, option):
 
 def test_cli_import_leaves_scipy_stats_unloaded(workdir):
     # importing scipy is most of a reconcile process's cold start, and only
-    # verify, the sparse reference path, the rank test and Gram systems of
-    # more than INVERSE_CUTOFF rows need it: neither the import nor a
-    # reconcile run of oct or ite-tcs under wlsv may load any of it
+    # verify, the sparse reference path (ctrec.reference), the rank test and
+    # Gram systems of more than INVERSE_CUTOFF rows need it: neither the
+    # imports nor a reconcile run of oct or ite-tcs under wlsv may load any
+    # of it, nor ctrec.reference
     sim = simulate(workdir)
     env = dict(os.environ, PYTHONPATH=str(Path(ctrec.__file__).parents[1]))
     code = """if True:
         import sys
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        def unwanted():
+            return sorted(
+                m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m == "ctrec.reference"
+            )
+        import ctrec
+        assert not unwanted(), ("import ctrec", unwanted())
         import ctrec.cli
-        assert not scipy_modules(), ("import", scipy_modules())
+        assert not unwanted(), ("import ctrec.cli", unwanted())
         for method in ("oct", "ite-tcs"):
             code = ctrec.cli.main(["reconcile", *sys.argv[1:], "--method", method])
-            assert code == 0 and not scipy_modules(), (method, code, scipy_modules())
+            assert code == 0 and not unwanted(), (method, code, unwanted())
     """
     args = [
         "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",

@@ -5,6 +5,7 @@ import pytest
 
 from ctrec.errors import StructureError
 from ctrec.hierarchy import build_cs, build_ct, build_te
+from ctrec.simulate import random_structure
 
 
 def toy_ct(orders=(2, 1)):
@@ -30,8 +31,8 @@ def random_agg(rng, n_u, n_b):
 def test_build_cs_smallest_hierarchy():
     cs = build_cs(np.array([[1.0, 1.0]]))
     assert (cs.n_series, cs.n_upper, cs.n_bottom) == (3, 1, 2)
-    assert np.array_equal(cs.summing().toarray(), [[1, 1], [1, 0], [0, 1]])
-    assert np.array_equal(cs.constraint().toarray(), [[1, -1, -1]])
+    assert np.array_equal(cs.summing_dense, [[1, 1], [1, 0], [0, 1]])
+    assert np.array_equal(cs.constraint_dense, [[1, -1, -1]])
 
 
 def test_build_cs_pv324_counts():
@@ -49,7 +50,7 @@ def test_build_cs_pv324_counts():
 
 def test_build_cs_degenerate_identity():
     cs = build_cs(np.eye(3))
-    C, S = cs.constraint().toarray(), cs.summing().toarray()
+    C, S = cs.constraint_dense, cs.summing_dense
     assert np.array_equal(C, np.hstack([np.eye(3), -np.eye(3)]))
     assert np.array_equal(C @ S, np.zeros((3, 3)))
 
@@ -83,7 +84,7 @@ def test_build_te_quarterly():
             [0, 0, 0, 1],
         ]
     )
-    assert np.array_equal(te.summing().toarray(), expected_s)
+    assert np.array_equal(te.summing_dense, expected_s)
     assert np.array_equal(te.row_sums, [4, 2, 2, 1, 1, 1, 1])
 
 
@@ -96,8 +97,8 @@ def test_build_te_hourly_grid():
 
 def test_build_te_two_leaf():
     te = build_te([2, 1])
-    assert np.array_equal(te.summing().toarray(), [[1, 1], [1, 0], [0, 1]])
-    assert np.array_equal((te.constraint() @ te.summing()).toarray(), [[0, 0]])
+    assert np.array_equal(te.summing_dense, [[1, 1], [1, 0], [0, 1]])
+    assert np.array_equal(te.constraint_dense @ te.summing_dense, [[0, 0]])
 
 
 def test_build_te_adds_one_with_warning():
@@ -119,7 +120,7 @@ def test_te_position_bookkeeping():
     assert te.order_slice(1) == slice(3, 7)
     assert te.hf_slice == slice(3, 7)
     # every finest column is covered exactly once per order block
-    S = te.summing().toarray()
+    S = te.summing_dense
     for k in te.orders:
         block = S[te.order_slice(k), :]
         assert np.array_equal(block.sum(axis=0), np.ones(te.m))
@@ -163,9 +164,7 @@ def test_ct_summing_is_product_of_expanded_factors():
     # the combined map equals the cs expansion times the bottom-restricted te expansion
     ct = toy_ct(orders=(4, 2, 1))
     left = ct.full_summing("cs").toarray()
-    import scipy.sparse as sp
-
-    right = sp.kron(np.eye(ct.cs.n_bottom), ct.te.summing()).toarray()
+    right = np.kron(np.eye(ct.cs.n_bottom), ct.te.summing_dense)
     assert np.array_equal(left @ right, ct.full_summing("ct").toarray())
 
 
@@ -182,13 +181,36 @@ def test_constraint_times_summing_is_exactly_zero():
             assert np.array_equal(prod, np.zeros_like(prod)), fw
 
 
-def test_dense_forms_match_the_sparse_builders():
-    for orders in ([1], [2, 1], [12, 6, 4, 3, 2, 1], [24, 12, 8, 6, 4, 3, 2, 1]):
-        te = build_te(orders)
-        assert np.array_equal(te.summing_dense, te.summing().toarray())
-        assert np.array_equal(te.constraint_dense, te.constraint().toarray())
-    cs = toy_ct().cs
-    assert np.array_equal(cs.constraint_dense, cs.constraint().toarray())
+def _ct_instances():
+    rng = np.random.default_rng(11)
+    cases = [random_structure(rng, 12, 4, m_choices=(1, 2, 4, 12)) for _ in range(12)]
+    real = build_cs(rng.uniform(-2.0, 2.0, size=(3, 5)))  # non-integer weights
+    cases += [build_ct(real, build_te(orders)) for orders in ([1], [6, 3, 2, 1])]
+    return cases
+
+
+@pytest.mark.parametrize("framework", ["cs", "te", "ct"])
+def test_full_operators_are_kronecker_products_of_the_dense_factors(framework):
+    # entry by entry, on random integer and non-integer structures: cs acts on
+    # each position, te on each series, and the ct constraints stack the
+    # cross-sectional ones on the m finest positions over the temporal ones
+    for ct in _ct_instances():
+        n, q, m, k = ct.n_series, ct.n_positions, ct.te.m, ct.te.k_star
+        S_cs, C_cs = ct.cs.summing_dense, ct.cs.constraint_dense
+        S_te, C_te = ct.te.summing_dense, ct.te.constraint_dense
+        hf = np.zeros((m, ct.cs.n_upper, n, q))  # row (t, a), column (i, p)
+        for t in range(m):
+            hf[t, :, :, k + t] = C_cs
+        summing, constraint = {
+            "cs": (np.kron(S_cs, np.eye(q)), np.kron(C_cs, np.eye(q))),
+            "te": (np.kron(np.eye(n), S_te), np.kron(np.eye(n), C_te)),
+            "ct": (
+                np.kron(S_cs, S_te),
+                np.vstack([hf.reshape(-1, n * q), np.kron(np.eye(n), C_te)]),
+            ),
+        }[framework]
+        assert np.array_equal(ct.full_summing(framework).toarray(), summing)
+        assert np.array_equal(ct.full_constraint(framework).toarray(), constraint)
 
 
 @pytest.mark.parametrize("part", ["cs", "te"])

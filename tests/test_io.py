@@ -1,6 +1,7 @@
 """Tests for file formats: hierarchy specs, wide CSVs, reports."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -119,6 +120,35 @@ def test_hierarchy_file_non_integer_round_trip(tmp_path):
     assert np.array_equal(agg, ct.cs.agg)
     assert labels == list(ct.cs.labels)
     assert orders == [2, 1]
+
+
+@pytest.mark.parametrize("where", ["upper", "bottom"])
+@pytest.mark.parametrize(
+    "label", ["a,b", "c:d", "e#f", "g=h", "i\nj", "k\rl", "m\x0bn", ""], ids=repr
+)
+def test_hierarchy_file_round_trips_labels_the_row_grammar_cannot_carry(
+    tmp_path, label, where
+):
+    # an integer hierarchy whose label holds a row-grammar separator or a line
+    # break, or is empty, goes through the weight-matrix CSV instead
+    labels = ["tot", "z1", "p", "q", "r"]
+    labels[1 if where == "upper" else 2] = label
+    agg = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
+    ct = build_ct(build_cs(agg, labels), build_te([2, 1]))
+    out = tmp_path / "hier.txt"
+    write_hierarchy_file(out, ct)
+    assert "matrix = hier_weights.csv" in out.read_text()
+    agg2, labels2, orders = read_hierarchy_file(out)
+    assert np.array_equal(agg2, agg)
+    assert labels2 == labels
+    assert orders == [2, 1]
+
+
+@pytest.mark.parametrize("label", [" p", "p\t", "\n"], ids=repr)
+def test_hierarchy_file_rejects_labels_the_readers_would_strip(tmp_path, label):
+    ct = build_ct(build_cs(np.ones((1, 2)), ["tot", label, "q"]), build_te([2, 1]))
+    with pytest.raises(ValidationError, match=re.escape(f"series label {label!r}")):
+        write_hierarchy_file(tmp_path / "hier.txt", ct)
 
 
 def test_hierarchy_file_errors(tmp_path):

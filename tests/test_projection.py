@@ -10,14 +10,9 @@ import scipy.linalg as sla
 import ctrec.projection as projection
 from ctrec.errors import NotPositiveDefiniteError, SingularSystemError, ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
-from ctrec.projection import (
-    batched_projector,
-    cross_temporal_projector,
-    structural_projector,
-    sym_solver,
-    zero_projector,
-)
+from ctrec.projection import batched_projector, cross_temporal_projector, sym_solver
 from ctrec.reconcile import _mean_projection
+from ctrec.reference import DENSE_SOLVE_CUTOFF, structural_projector, zero_projector
 from ctrec.simulate import pv324_structure
 from helpers import random_agg, random_spd, random_structure, toy_cs, toy_ct
 
@@ -194,7 +189,7 @@ def test_batched_projector_matches_dense_oracle_in_both_forms(
 
     monkeypatch.setattr(projection, "sym_solver", recording_solver)
     rng = np.random.default_rng(3)
-    S = structure.summing()
+    S = structure.summing_dense
     r, c = S.shape
     W = rng.uniform(0.2, 5.0, size=(r, 9))
     X = rng.normal(size=(r, 9)) * 10
@@ -412,7 +407,7 @@ def test_sym_solver_cholesky_branch_raises_on_failure(kind, error, cholesky_bran
 def test_averaged_cs_identical_weights_collapse():
     cs = toy_cs()
     w = np.array([2.0, 1.0, 1.0])
-    M = structural_projector(cs.summing(), w).dense()
+    M = structural_projector(cs.summing_dense, w).dense()
     avg = _mean_projection(cs, np.column_stack([w, w, w]))
     assert np.allclose(avg, M, atol=1e-12)
     assert np.allclose(avg @ avg, avg, atol=1e-10)
@@ -421,7 +416,7 @@ def test_averaged_cs_identical_weights_collapse():
 def test_averaged_cs_mixing_breaks_idempotency():
     # degenerate second projection (identity) mixed in: M̄ = (M + I)/2
     cs = toy_cs()
-    M1 = structural_projector(cs.summing(), np.array([2.0, 1.0, 1.0])).dense()
+    M1 = structural_projector(cs.summing_dense, np.array([2.0, 1.0, 1.0])).dense()
     avg = (M1 + np.eye(3)) / 2
     assert not np.allclose(avg @ avg, avg, atol=1e-8)
 
@@ -429,7 +424,7 @@ def test_averaged_cs_mixing_breaks_idempotency():
 def test_averaged_te_identical_weights_collapse():
     te = build_te([2, 1])
     om = np.array([2.0, 1.0, 1.0])
-    M = structural_projector(te.summing(), om).dense()
+    M = structural_projector(te.summing_dense, om).dense()
     avg = _mean_projection(te, np.column_stack([om, om, om]))
     assert np.allclose(avg, M, atol=1e-12)
 
@@ -470,7 +465,7 @@ def test_zero_projector_sparse_gram_matches_dense_oracle(monkeypatch):
     cs = build_cs(random_agg(np.random.default_rng(1), 5, 25))
     ct = build_ct(cs, build_te([24, 12, 8, 6, 4, 3, 2, 1]))
     H = ct.full_constraint("ct")
-    assert H.shape[0] > projection.DENSE_SOLVE_CUTOFF
+    assert H.shape[0] > DENSE_SOLVE_CUTOFF
     rng = np.random.default_rng(4)
     w = rng.uniform(0.2, 5.0, ct.dim)
     X = rng.normal(size=(ct.dim, 8)) * 10

@@ -7,7 +7,6 @@ import pytest
 from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
 from ctrec.errors import ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
-from ctrec.projection import structural_projector, zero_projector
 from ctrec.reconcile import (
     ForecastBlock,
     baseline_bu,
@@ -22,6 +21,7 @@ from ctrec.reconcile import (
     run_batch,
     sntz,
 )
+from ctrec.reference import structural_projector, zero_projector
 from helpers import random_structure, toy_ct
 
 
@@ -87,7 +87,7 @@ def test_reconcile_cs_constant_weight_equals_matrix_oracle():
     ct = random_structure(rng, max_series=10, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
     w = rng.uniform(0.5, 2.0, size=ct.n_series)
-    M = structural_projector(ct.cs.summing(), w).dense()
+    M = structural_projector(ct.cs.summing_dense, w).dense()
     out = reconcile_cs(block, cs_table(ct, w))
     assert np.allclose(out.block.values, M @ block.values, atol=1e-10)
 
@@ -97,7 +97,7 @@ def test_reconcile_te_mirrors_cs():
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
     om = rng.uniform(0.5, 2.0, size=ct.n_positions)
-    M = structural_projector(ct.te.summing(), om).dense()
+    M = structural_projector(ct.te.summing_dense, om).dense()
     out = reconcile_te(block, te_table(ct, om))
     # right-multiplication by the transposed temporal projection
     assert np.allclose(out.block.values, block.values @ M.T, atol=1e-10)
@@ -126,8 +126,8 @@ def test_reconcile_oct_separable_sigma_is_two_sided_projection():
     block = random_block(rng, ct)
     w, om = constant_weights(rng, ct)
     out = reconcile_oct(block, np.kron(w, om))
-    m_cs = structural_projector(ct.cs.summing(), w).dense()
-    m_te = structural_projector(ct.te.summing(), om).dense()
+    m_cs = structural_projector(ct.cs.summing_dense, w).dense()
+    m_te = structural_projector(ct.te.summing_dense, om).dense()
     assert np.allclose(out.block.values, m_cs @ block.values @ m_te.T, atol=1e-9)
 
 
