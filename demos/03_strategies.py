@@ -15,12 +15,7 @@ from ctrec import (
     build_ct,
     build_te,
     frobenius_gap,
-    reconcile_cs,
-    reconcile_iterative,
-    reconcile_ka,
-    reconcile_oct,
-    reconcile_seq,
-    reconcile_te,
+    prepare,
     sigma_wlsv,
     sntz,
 )
@@ -42,15 +37,9 @@ residuals = ResidualSet(
 sigma = sigma_wlsv(ct, residuals)
 
 print(f"{'method':<10} {'cs residual':>12} {'te residual':>12}")
-for report in (
-    reconcile_cs(block, sigma),
-    reconcile_te(block, sigma),
-    reconcile_seq(block, sigma, sigma, order="cst"),
-    reconcile_seq(block, sigma, sigma, order="tcs"),
-    reconcile_ka(block, sigma, sigma, order="tcs"),
-    reconcile_oct(block, sigma),
-    reconcile_iterative(block, sigma, sigma, order="tcs", delta=1e-10, max_iter=1000),
-):
+for method in ("cs", "te", "seq-cst", "seq-tcs", "ka-tcs", "oct", "ite-tcs"):
+    # delta and max_iter concern the alternating (ite-*) methods only
+    report = prepare(method, ct, sigma, delta=1e-10, max_iter=1000)(block)
     cs_res, te_res = report.coherence
     print(f"{report.method:<10} {cs_res:>12.2e} {te_res:>12.2e}")
 print("(one-dimensional and sequential methods leave the other dimension "
@@ -61,16 +50,12 @@ print("(one-dimensional and sequential methods leave the other dimension "
 # is spread over the table: w by series, om by temporal position.
 w = np.outer(rng.uniform(0.5, 2.0, size=ct.n_series), np.ones(ct.n_positions))
 om = np.outer(np.ones(ct.n_series), rng.uniform(0.5, 2.0, size=ct.n_positions))
-target = reconcile_oct(block, w * om).block
+target = prepare("oct", ct, w * om)(block).block
 print("\nwith one weight vector per dimension, gaps to the one-shot solution:")
-for name, report in [
-    ("seq-cst", reconcile_seq(block, w, om, order="cst")),
-    ("seq-tcs", reconcile_seq(block, w, om, order="tcs")),
-    ("ka-tcs", reconcile_ka(block, w, om, order="tcs")),
-    ("ite-cst", reconcile_iterative(block, w, om, order="cst")),
-]:
-    extra = f" (cycles: {report.iterations})" if name.startswith("ite") else ""
-    print(f"  {name:<8} {frobenius_gap(report.block, target):.2e}{extra}")
+for method in ("seq-cst", "seq-tcs", "ka-tcs", "ite-cst"):
+    report = prepare(method, ct, w, om)(block)
+    extra = f" (cycles: {report.iterations})" if method.startswith("ite") else ""
+    print(f"  {method:<8} {frobenius_gap(report.block, target):.2e}{extra}")
 
 # Negative bottom cells are clamped and everything re-aggregated.
 dip = ct.from_bottom_hf(
@@ -83,7 +68,7 @@ dip = ct.from_bottom_hf(
         ]
     )
 )
-report = reconcile_oct(ForecastBlock(dip, ct), w * om)
+report = prepare("oct", ct, w * om)(ForecastBlock(dip, ct))
 clamped = sntz(report)
 print("\nnegative clamping:", report.method, "->", clamped.method)
 print("  finest bottom minimum before:", ct.bottom_hf(report.block.values).min())

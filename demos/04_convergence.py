@@ -18,8 +18,7 @@ from ctrec import (
     build_te,
     frobenius_gap,
     frobenius_trace,
-    reconcile_iterative,
-    reconcile_oct,
+    prepare,
     sigma_wlsv,
 )
 from ctrec.io import write_trace_csv
@@ -46,12 +45,10 @@ for rep in range(REPLICATIONS):
             * rng.uniform(0.3, 2.0, size=(1, ct.n_series, 1))
         ),
     )
-    target = reconcile_oct(block, sigma)
+    target = prepare("oct", ct, sigma)(block)
     scale = np.linalg.norm(block.values)
     for delta in DELTAS:
-        run = reconcile_iterative(
-            block, sigma, sigma, order="tcs", delta=delta, max_iter=5000
-        )
+        run = prepare("ite-tcs", ct, sigma, delta=delta, max_iter=5000)(block)
         rows[delta].append(frobenius_gap(run.block, target.block) / scale)
         cycles[delta].append(run.iterations)
 
@@ -67,10 +64,8 @@ block = ForecastBlock(truth + rng.normal(size=truth.shape), ct)
 sigma = sigma_wlsv(
     ct, ResidualSet(rng.normal(size=(20, ct.n_series, ct.n_positions)))
 )
-target = reconcile_oct(block, sigma)
-run = reconcile_iterative(
-    block, sigma, sigma, order="tcs", delta=1e-10, max_iter=5000, keep_iterates=True
-)
+target = prepare("oct", ct, sigma)(block)
+run = prepare("ite-tcs", ct, sigma, delta=1e-10, max_iter=5000, keep_iterates=True)(block)
 gaps = frobenius_trace(run, target)
 write_trace_csv(
     "convergence_trace.csv",

@@ -16,8 +16,7 @@ from ctrec import (
     build_te,
     mcb_nemenyi,
     nrmse_table,
-    reconcile_ka,
-    reconcile_oct,
+    prepare,
     sigma_ols,
     sigma_str,
     sigma_wlsv,
@@ -31,6 +30,13 @@ ct = build_ct(
 data = simulate_dataset(ct, n_origins=12, n_residual_origins=20, noise_sd=0.8, seed=3)
 print("simulated", len(data.bases), "origins of", ct.n_series, "series")
 
+
+def reconciled(method, sigma):
+    """Every origin reconciled by one method, prepared once for the batch."""
+    run = prepare(method, ct, sigma)
+    return tuple(run(b).block for b in data.bases)
+
+
 wlsv = sigma_wlsv(ct, data.residuals)
 candidates = {
     "base": data.bases,
@@ -38,10 +44,10 @@ candidates = {
         baseline_pers_bu(data.histories[i], ct, origin_id=b.origin_id)
         for i, b in enumerate(data.bases)
     ),
-    "oct-ols": tuple(reconcile_oct(b, sigma_ols(ct)).block for b in data.bases),
-    "oct-str": tuple(reconcile_oct(b, sigma_str(ct)).block for b in data.bases),
-    "oct-wlsv": tuple(reconcile_oct(b, wlsv).block for b in data.bases),
-    "ka-tcs": tuple(reconcile_ka(b, wlsv, wlsv, order="tcs").block for b in data.bases),
+    "oct-ols": reconciled("oct", sigma_ols(ct)),
+    "oct-str": reconciled("oct", sigma_str(ct)),
+    "oct-wlsv": reconciled("oct", wlsv),
+    "ka-tcs": reconciled("ka-tcs", wlsv),
 }
 
 # level map: total is L0, remaining uppers L1, bottoms L2

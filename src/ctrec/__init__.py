@@ -46,12 +46,6 @@ from .reconcile import (
     baseline_pers_bu,
     frobenius_gap,
     prepare,
-    reconcile_cs,
-    reconcile_iterative,
-    reconcile_ka,
-    reconcile_oct,
-    reconcile_seq,
-    reconcile_te,
     run_batch,
     sntz,
 )
@@ -91,12 +85,6 @@ __all__ = [
     "prepare",
     "pv324_structure",
     "random_structure",
-    "reconcile_cs",
-    "reconcile_iterative",
-    "reconcile_ka",
-    "reconcile_oct",
-    "reconcile_seq",
-    "reconcile_te",
     "run_batch",
     "sigma_ols",
     "sigma_str",

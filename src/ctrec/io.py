@@ -244,11 +244,16 @@ def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> list:
     """
     with open_input(path) as fh:
         text = fh.read()
-    plain = '"' not in text and text.count("\r") == text.count("\r\n")
+    lines = None if '"' in text else text.split("\n")
+    # plain when every carriage return ends a line: one scan of the text
+    plain = lines is not None and text.count("\r") == sum(
+        line.endswith("\r") for line in lines[:-1]
+    )
     if plain:
-        lines = iter(text.split("\n"))  # exhausted, it frees the lines
+        lines = iter(lines)  # exhausted, it frees the lines
         header, rows = next(lines).removesuffix("\r").split(","), _split_rows(lines)
     else:
+        del lines  # the csv module splits the text itself
         rows = _csv_rows(path, StringIO(text, newline=""))
         header = next(rows, None)
     if header is None or header[:2] != ["origin", "series"]:

@@ -13,20 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import ResidualSet, sigma_wlsv
+from .covariance import ResidualSet, sigma_ols, sigma_wlsv
 from .errors import ValidationError
 from .hierarchy import CrossTemporalStructure
-from .reconcile import (
-    ForecastBlock,
-    frobenius_gap,
-    reconcile_cs,
-    reconcile_iterative,
-    reconcile_ka,
-    reconcile_oct,
-    reconcile_seq,
-    reconcile_te,
-    sntz,
-)
+from .reconcile import METHODS, ForecastBlock, frobenius_gap, prepare, sntz
 from .reference import structural_projector, zero_projector
 from .simulate import random_structure
 
@@ -73,15 +63,9 @@ def check_constant_weight_equivalence(
         n, q = ct.n_series, ct.n_positions
         w = np.outer(rng.uniform(0.5, 2.0, size=n), np.ones(q))
         om = np.outer(np.ones(n), rng.uniform(0.5, 2.0, size=q))
-        runs = [
-            reconcile_seq(block, w, om, order="cst"),
-            reconcile_seq(block, w, om, order="tcs"),
-            reconcile_ka(block, w, om, order="cst"),
-            reconcile_ka(block, w, om, order="tcs"),
-            reconcile_iterative(block, w, om, order="cst"),
-            reconcile_iterative(block, w, om, order="tcs"),
-            reconcile_oct(block, w * om),
-        ]
+        heuristics = ("seq-cst", "seq-tcs", "ka-cst", "ka-tcs", "ite-cst", "ite-tcs")
+        runs = [prepare(method, ct, w, om)(block) for method in heuristics]
+        runs.append(prepare("oct", ct, w * om)(block))
         if runs[4].iterations != 1 or runs[5].iterations != 1:
             return CheckResult(
                 "constant-weight equivalence",
@@ -119,15 +103,13 @@ def check_alternating_convergence(
         ct = random_structure(rng, max_series=15, max_upper=4, m_choices=(4, 12))
         block = _noisy_block(rng, ct)
         sigma = sigma_wlsv(ct, _scaled_residuals(rng, ct, n_origins))
-        target = reconcile_oct(block, sigma).block
+        target = prepare("oct", ct, sigma)(block).block
         scale = max(1.0, float(np.linalg.norm(block.values)))
         finals = {}
         for order in ("tcs", "cst"):
             gaps = []
             for delta in deltas:
-                run = reconcile_iterative(
-                    block, sigma, sigma, order=order, delta=delta, max_iter=20000
-                )
+                run = prepare(f"ite-{order}", ct, sigma, delta=delta, max_iter=20000)(block)
                 if not run.converged:
                     return CheckResult(
                         "alternating convergence",
@@ -217,23 +199,18 @@ def check_dense_oracle(seed: int = 0, instances: int = 5, tol: float = 1e-9) -> 
         m_te_bar = _mean_dense(ct.te.summing_dense, cells)
         m_cs_bar = _mean_dense(ct.cs.summing_dense, cells[:, starts].T)
         eye_n, eye_q = np.eye(ct.n_series), np.eye(ct.n_positions)
-        pairs = [
-            (reconcile_cs(block, sigma), m_cs @ x),
-            (reconcile_te(block, sigma), m_te @ x),
-            (reconcile_oct(block, sigma), m_ct @ x),
-            (reconcile_seq(block, sigma, sigma, order="cst"), m_te @ (m_cs @ x)),
-            (reconcile_seq(block, sigma, sigma, order="tcs"), m_cs @ (m_te @ x)),
-            (
-                reconcile_ka(block, sigma, sigma, order="cst"),
-                np.kron(eye_n, m_te_bar) @ (m_cs @ x),
-            ),
-            (
-                reconcile_ka(block, sigma, sigma, order="tcs"),
-                np.kron(m_cs_bar, eye_q) @ (m_te @ x),
-            ),
-        ]
-        for run, expected in pairs:
-            worst = max(worst, float(np.linalg.norm(run.block.vector - expected)) / scale)
+        oracles = {
+            "cs": m_cs @ x,
+            "te": m_te @ x,
+            "oct": m_ct @ x,
+            "seq-cst": m_te @ (m_cs @ x),
+            "seq-tcs": m_cs @ (m_te @ x),
+            "ka-cst": np.kron(eye_n, m_te_bar) @ (m_cs @ x),
+            "ka-tcs": np.kron(m_cs_bar, eye_q) @ (m_te @ x),
+        }
+        for method, expected in oracles.items():
+            got = prepare(method, ct, sigma)(block).block.vector
+            worst = max(worst, float(np.linalg.norm(got - expected)) / scale)
         done += 1
     return CheckResult(
         "dense-oracle equivalence",
@@ -243,6 +220,20 @@ def check_dense_oracle(seed: int = 0, instances: int = 5, tol: float = 1e-9) -> 
     )
 
 
+# method: (cross-sectional constraints hold, temporal constraints hold)
+COHERENCE_PROFILE = {
+    "cs": (True, False),
+    "te": (False, True),
+    "oct": (True, True),
+    "seq-cst": (False, True),
+    "seq-tcs": (True, False),
+    "ka-cst": (True, True),
+    "ka-tcs": (True, True),
+    "ite-cst": (True, True),
+    "ite-tcs": (True, True),
+}
+
+
 def check_coherence_profile(seed: int = 0, tol: float = 1e-8) -> CheckResult:
     """Methods satisfy exactly the constraints they claim; on a generic
     instance the unclaimed dimension is genuinely violated (> 1e-3)."""
@@ -250,22 +241,9 @@ def check_coherence_profile(seed: int = 0, tol: float = 1e-8) -> CheckResult:
     ct = random_structure(rng, max_series=12, max_upper=4, m_choices=(12,))
     block = _noisy_block(rng, ct, scale=5.0)
     sigma = sigma_wlsv(ct, _scaled_residuals(rng, ct, 12))
-    checks = []  # (method, cs_must_hold, te_must_hold)
-    checks.append((reconcile_cs(block, sigma), True, False))
-    checks.append((reconcile_te(block, sigma), False, True))
-    checks.append((reconcile_seq(block, sigma, sigma, order="cst"), False, True))
-    checks.append((reconcile_seq(block, sigma, sigma, order="tcs"), True, False))
-    checks.append((reconcile_oct(block, sigma), True, True))
-    checks.append((reconcile_ka(block, sigma, sigma, order="cst"), True, True))
-    checks.append((reconcile_ka(block, sigma, sigma, order="tcs"), True, True))
-    checks.append(
-        (
-            reconcile_iterative(block, sigma, sigma, order="tcs", delta=1e-10, max_iter=20000),
-            True,
-            True,
-        )
-    )
-    for run, cs_hold, te_hold in checks:
+    for method in METHODS:
+        cs_hold, te_hold = COHERENCE_PROFILE[method]
+        run = prepare(method, ct, sigma, delta=1e-10, max_iter=20000)(block)
         bound = tol * max(1.0, float(np.abs(run.block.values).max()))
         for held, residual in ((cs_hold, run.coherence[0]), (te_hold, run.coherence[1])):
             if held and residual > bound:
@@ -291,9 +269,7 @@ def check_sntz(seed: int = 0) -> CheckResult:
     for _ in range(10):
         ct = random_structure(rng, max_series=10, max_upper=3, m_choices=(4, 12))
         block = _noisy_block(rng, ct, scale=3.0)
-        from .covariance import sigma_ols
-
-        out = sntz(reconcile_oct(block, sigma_ols(ct)))
+        out = sntz(prepare("oct", ct, sigma_ols(ct))(block))
         x = out.block.vector
         residual = float(np.abs(ct.full_constraint("ct") @ x).max())
         bound = 1e-10 * max(1.0, float(np.abs(x).max()))

@@ -4,6 +4,7 @@ synthetic generators, plus a few fixed toys)."""
 import numpy as np
 
 from ctrec.hierarchy import build_cs, build_ct, build_te
+from ctrec.reconcile import prepare
 from ctrec.simulate import pv324_cs, random_aggregation, random_structure
 
 __all__ = [
@@ -13,6 +14,7 @@ __all__ = [
     "random_structure",
     "random_spd",
     "pv324_agg",
+    "run_method",
 ]
 
 
@@ -39,3 +41,8 @@ def random_spd(rng, dim, spread=2.0):
 def pv324_agg():
     cs = pv324_cs()
     return np.asarray(cs.agg), list(cs.labels)
+
+
+def run_method(method, block, sigma, sigma_te=None, **options):
+    """Reconcile one block by method name: ``prepare`` for its structure."""
+    return prepare(method, block.structure, sigma, sigma_te, **options)(block)

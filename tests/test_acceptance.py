@@ -12,13 +12,7 @@ import numpy as np
 from ctrec.cli import main as cli_main
 from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
 from ctrec.evaluate import EvalFrame, mcb_nemenyi, nrmse
-from ctrec.reconcile import (
-    ForecastBlock,
-    reconcile_iterative,
-    reconcile_ka,
-    reconcile_oct,
-    sntz,
-)
+from ctrec.reconcile import ForecastBlock, sntz
 from ctrec.reference import structural_projector
 from ctrec.simulate import pv324_structure, simulate_dataset
 from ctrec.verify import (
@@ -29,7 +23,7 @@ from ctrec.verify import (
     check_representation_equivalence,
     check_sntz,
 )
-from helpers import toy_ct
+from helpers import run_method, toy_ct
 
 
 def _announce(number: int, result_line: str):
@@ -82,7 +76,7 @@ def test_criterion_5_dense_oracle_equivalence():
         axis=0,
     )
     dense = np.kron(np.eye(ct.n_series), m_te_bar) @ m_cs_full
-    run = reconcile_ka(block, sigma, sigma, order="cst")
+    run = run_method("ka-cst", block, sigma, sigma)
     gap = np.linalg.norm(run.block.vector - dense @ block.vector)
     assert gap <= 1e-9 * max(1.0, np.linalg.norm(block.vector))
     _announce(5, f"PASS dense-oracle equivalence: {result.detail}; "
@@ -96,7 +90,7 @@ def test_criterion_6_sntz():
     ct = toy_ct((2, 1))
     bottom = np.array([[1.0, -0.5], [2.0, 1.0]])
     block = ForecastBlock(ct.from_bottom_hf(bottom), ct)
-    out = sntz(reconcile_oct(block, sigma_ols(ct)))
+    out = sntz(run_method("oct", block, sigma_ols(ct)))
     x = out.block.vector
     assert np.abs(ct.full_constraint("ct") @ x).max() <= 1e-10
     assert ct.bottom_hf(out.block.values).min() >= 0.0
@@ -112,10 +106,10 @@ def test_criterion_7_performance_trend():
     sigma = sigma_wlsv(ct, data.residuals)
     single, multi = [], []
     for block in data.bases:
-        fast = reconcile_iterative(block, w, om, order="tcs")
+        fast = run_method("ite-tcs", block, w, om)
         assert fast.iterations == 1
         single.append(fast.elapsed)
-        slow = reconcile_iterative(block, sigma, sigma, order="tcs", max_iter=1000)
+        slow = run_method("ite-tcs", block, sigma, sigma, max_iter=1000)
         assert slow.iterations > 1 and slow.converged
         multi.append(slow.elapsed)
     elapsed = time.perf_counter() - start

@@ -184,6 +184,21 @@ def test_reconcile_validation_exit_codes(workdir):
     assert code == 2
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_reconcile_rejects_a_non_finite_delta(workdir, capsys, delta):
+    # a NaN delta would run every cycle and write "delta": NaN, which is not
+    # JSON; an infinite one would stop after one cycle as converged
+    sim = simulate(workdir)
+    out = workdir / "out"
+    code = run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", "ite-tcs", f"--delta={delta}", "--out", out]
+    )
+    assert code == 2
+    assert "delta must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconcile_malformed_rows_exit_2_with_file_and_line(workdir, capsys):
     sim = simulate(workdir)
     lines = (sim / "base.csv").read_text().splitlines()

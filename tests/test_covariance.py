@@ -12,7 +12,7 @@ from ctrec.covariance import (
 )
 from ctrec.errors import ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
-from helpers import random_agg, toy_ct
+from helpers import random_agg, run_method, toy_ct
 
 
 def test_sigma_ols_is_identity():
@@ -124,7 +124,7 @@ def test_build_sigma_dispatch():
 
 def test_per_order_view_rejects_position_varying_diagonal():
     from ctrec.covariance import DiagonalSigma
-    from ctrec.reconcile import ForecastBlock, reconcile_ka
+    from ctrec.reconcile import ForecastBlock
 
     ct = toy_ct()
     diag = np.arange(1.0, 10.0)
@@ -132,4 +132,4 @@ def test_per_order_view_rejects_position_varying_diagonal():
     block = ForecastBlock(np.ones((3, 3)), ct)
     # the averaging heuristic reads one cross-sectional weight per order
     with pytest.raises(ValidationError, match="per order"):
-        reconcile_ka(block, sig, sig, order="tcs")
+        run_method("ka-tcs", block, sig, sig)

@@ -1,11 +1,17 @@
-"""Smoke test: every demo runs to completion against the current API."""
+"""Smoke test: every demo runs to completion against the current API, and
+the README's code names only what the package exports."""
 
+import ast
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+import ctrec
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 def test_demo_set_is_complete():
@@ -17,3 +23,15 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # demos may write their CSVs to the working dir
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_python_blocks_import_only_exported_names():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    imported = set()
+    for source in blocks:
+        compile(source, "README.md", "exec")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "ctrec":
+                imported.update(alias.name for alias in node.names)
+    assert imported, "no `from ctrec import ...` in the README's python blocks"
+    assert imported <= set(ctrec.__all__), sorted(imported - set(ctrec.__all__))

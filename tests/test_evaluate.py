@@ -14,12 +14,8 @@ from ctrec.evaluate import (
     nrmse_table,
     perf_summary,
 )
-from ctrec.reconcile import (
-    ForecastBlock,
-    reconcile_iterative,
-    reconcile_oct,
-)
-from helpers import random_structure, toy_ct
+from ctrec.reconcile import ForecastBlock
+from helpers import random_structure, run_method, toy_ct
 
 
 def constant_frame(ct, actual_value, forecast_values, origins=1):
@@ -137,8 +133,8 @@ def test_frobenius_trace_identical_inputs_all_zero():
         ct.from_bottom_hf(bottom) + rng.normal(size=(ct.n_series, ct.n_positions)), ct
     )
     sig = sigma_ols(ct)
-    oct_report = reconcile_oct(block, sig)
-    ite = reconcile_iterative(block, sig, sig, order="tcs", keep_iterates=True)
+    oct_report = run_method("oct", block, sig)
+    ite = run_method("ite-tcs", block, sig, sig, keep_iterates=True)
     trace = frobenius_trace(ite, oct_report)
     # constant weights: single iteration already at the one-shot point
     assert len(trace) == 2
@@ -154,9 +150,9 @@ def test_frobenius_trace_decreases_under_wlsv():
     )
     res = ResidualSet(rng.normal(size=(15, ct.n_series, ct.n_positions)) * rng.uniform(0.3, 2.0, size=(1, ct.n_series, 1)))
     sig = sigma_wlsv(ct, res)
-    oct_report = reconcile_oct(block, sig)
-    ite = reconcile_iterative(
-        block, sig, sig, order="tcs", delta=1e-10, max_iter=5000, keep_iterates=True
+    oct_report = run_method("oct", block, sig)
+    ite = run_method(
+        "ite-tcs", block, sig, sig, delta=1e-10, max_iter=5000, keep_iterates=True
     )
     trace = frobenius_trace(ite, oct_report)
     assert trace[-1] <= 1e-6 * max(1.0, np.linalg.norm(block.values))
@@ -167,9 +163,9 @@ def test_frobenius_trace_requires_iterates():
     ct = toy_ct((2, 1))
     block = ForecastBlock(np.arange(9.0).reshape(3, 3), ct)
     sig = sigma_ols(ct)
-    ite = reconcile_iterative(block, sig, sig)
+    ite = run_method("ite-tcs", block, sig, sig)
     with pytest.raises(ValidationError):
-        frobenius_trace(ite, reconcile_oct(block, sig))
+        frobenius_trace(ite, run_method("oct", block, sig))
 
 
 # -- rank test --------------------------------------------------------------

@@ -25,9 +25,9 @@ from ctrec.io import (
     write_reports_jsonl,
     write_residuals_csv,
 )
-from ctrec.reconcile import ForecastBlock, reconcile_oct
+from ctrec.reconcile import ForecastBlock
 from ctrec.covariance import sigma_ols
-from helpers import toy_ct
+from helpers import run_method, toy_ct
 
 
 def test_position_labels_canonical_order():
@@ -291,7 +291,7 @@ def test_history_csv_malformed_rows_name_line(tmp_path):
 def test_reports_jsonl_round_trip_and_timings_toggle(tmp_path):
     ct = toy_ct((2, 1))
     block = ForecastBlock(np.arange(9.0).reshape(3, 3), ct)
-    report = reconcile_oct(block, sigma_ols(ct), measure_memory=True)
+    report = run_method("oct", block, sigma_ols(ct), measure_memory=True)
     path = tmp_path / "reports.jsonl"
     write_reports_jsonl(path, [report])
     (record,) = read_reports_jsonl(path)
@@ -317,14 +317,13 @@ def test_reports_jsonl_rejects_a_non_json_line_naming_it(tmp_path):
 
 
 def test_report_dict_carries_delta_for_iterative():
-    from ctrec.reconcile import reconcile_iterative
 
     ct = toy_ct((2, 1))
     block = ForecastBlock(np.arange(9.0).reshape(3, 3), ct)
     sig = sigma_ols(ct)
-    record = report_dict(reconcile_iterative(block, sig, sig, delta=1e-7))
+    record = report_dict(run_method("ite-tcs", block, sig, sig, delta=1e-7))
     assert record["delta"] == 1e-7
-    record = report_dict(reconcile_oct(block, sig))
+    record = report_dict(run_method("oct", block, sig))
     assert "delta" not in record
 
 

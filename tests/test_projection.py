@@ -14,7 +14,7 @@ from ctrec.projection import batched_projector, cross_temporal_projector, sym_so
 from ctrec.reconcile import _mean_projection
 from ctrec.reference import DENSE_SOLVE_CUTOFF, structural_projector, zero_projector
 from ctrec.simulate import pv324_structure
-from helpers import random_agg, random_spd, random_structure, toy_cs, toy_ct
+from helpers import random_agg, random_spd, random_structure, run_method, toy_cs, toy_ct
 
 S3 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 H3 = np.array([[1.0, -1.0, -1.0]])
@@ -545,7 +545,7 @@ def test_cross_temporal_projector_with_floored_variances_matches_reference():
     # their 160 (series, order) variances sit at the floor, 1e-12 of the
     # largest, so those weights are ~1e12 times smaller than the rest
     from ctrec.covariance import ResidualSet, sigma_wlsv
-    from ctrec.reconcile import ForecastBlock, reconcile_iterative, reconcile_oct
+    from ctrec.reconcile import ForecastBlock
 
     ct = pv324_structure()
     rng = np.random.default_rng(12)
@@ -554,12 +554,12 @@ def test_cross_temporal_projector_with_floored_variances_matches_reference():
     sigma = sigma_wlsv(ct, ResidualSet(residuals))
     assert len(sigma.floored) >= 100
     block = ForecastBlock(rng.normal(size=(ct.n_series, ct.n_positions)) * 10, ct)
-    out = reconcile_oct(block, sigma).block.values
+    out = run_method("oct", block, sigma).block.values
     expected = _zero_reference(ct, sigma.cells(), block.values)
     assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
     # the alternating heuristic still converges to the same point
     scale = max(1.0, np.linalg.norm(block.values))
-    ite = reconcile_iterative(block, sigma, sigma, order="tcs", delta=1e-10, max_iter=5000)
+    ite = run_method("ite-tcs", block, sigma, sigma, delta=1e-10, max_iter=5000)
     assert ite.converged and "variance-floor" in ite.flags
     assert np.linalg.norm(ite.block.values - out) <= 10 * 1e-10 * scale
 
@@ -589,7 +589,7 @@ def test_cross_temporal_projector_memory_scales_with_the_block_not_the_gram():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_cross_temporal_projector_rejects_non_positive_weights(bad):
-    from ctrec.reconcile import ForecastBlock, reconcile_oct
+    from ctrec.reconcile import ForecastBlock
 
     ct = toy_ct((4, 2, 1))
     W = np.ones((ct.n_series, ct.n_positions))
@@ -598,6 +598,6 @@ def test_cross_temporal_projector_rejects_non_positive_weights(bad):
         cross_temporal_projector(ct.cs, ct.te, W)
     block = ForecastBlock(np.ones((ct.n_series, ct.n_positions)), ct)
     with pytest.raises(ValidationError, match="positive"):
-        reconcile_oct(block, W)
+        run_method("oct", block, W)
     with pytest.raises(ValidationError, match="need"):
         cross_temporal_projector(ct.cs, ct.te, np.ones((ct.n_positions, ct.n_series)))

@@ -8,21 +8,17 @@ from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
 from ctrec.errors import ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.reconcile import (
+    METHODS,
     ForecastBlock,
     baseline_bu,
     baseline_pers_bu,
     frobenius_gap,
-    reconcile_cs,
-    reconcile_iterative,
-    reconcile_ka,
-    reconcile_oct,
-    reconcile_seq,
-    reconcile_te,
     run_batch,
     sntz,
 )
 from ctrec.reference import structural_projector, zero_projector
-from helpers import random_structure, toy_ct
+from ctrec.verify import COHERENCE_PROFILE, check_coherence_profile
+from helpers import random_structure, run_method, toy_ct
 
 
 def toy_block(values=None, orders=(2, 1)):
@@ -66,7 +62,7 @@ def te_table(ct, om):
 def test_reconcile_cs_keeps_coherent_input():
     ct = toy_ct((4, 2, 1))
     block = coherent_block(np.random.default_rng(1), ct)
-    out = reconcile_cs(block, sigma_ols(ct))
+    out = run_method("cs", block, sigma_ols(ct))
     assert frobenius_gap(out.block, block) < 1e-10
     assert out.iterations == 1
 
@@ -75,7 +71,7 @@ def test_reconcile_cs_projects_each_position():
     # every column (3, 1, 1) must become (8/3, 4/3, 4/3)
     ct = toy_ct((4, 2, 1))
     block = ForecastBlock(np.tile([[3.0], [1.0], [1.0]], ct.n_positions), ct)
-    out = reconcile_cs(block, sigma_ols(ct))
+    out = run_method("cs", block, sigma_ols(ct))
     expected = np.tile([[8 / 3], [4 / 3], [4 / 3]], ct.n_positions)
     assert np.allclose(out.block.values, expected, atol=1e-12)
     assert out.coherence[0] < 1e-12  # cross-sectionally coherent
@@ -88,7 +84,7 @@ def test_reconcile_cs_constant_weight_equals_matrix_oracle():
     block = random_block(rng, ct)
     w = rng.uniform(0.5, 2.0, size=ct.n_series)
     M = structural_projector(ct.cs.summing_dense, w).dense()
-    out = reconcile_cs(block, cs_table(ct, w))
+    out = run_method("cs", block, cs_table(ct, w))
     assert np.allclose(out.block.values, M @ block.values, atol=1e-10)
 
 
@@ -98,23 +94,23 @@ def test_reconcile_te_mirrors_cs():
     block = random_block(rng, ct)
     om = rng.uniform(0.5, 2.0, size=ct.n_positions)
     M = structural_projector(ct.te.summing_dense, om).dense()
-    out = reconcile_te(block, te_table(ct, om))
+    out = run_method("te", block, te_table(ct, om))
     # right-multiplication by the transposed temporal projection
     assert np.allclose(out.block.values, block.values @ M.T, atol=1e-10)
     assert out.coherence[1] < 1e-10
     # coherent input is untouched
     cb = coherent_block(rng, ct)
-    assert frobenius_gap(reconcile_te(cb, te_table(ct, om)).block, cb) < 1e-10
+    assert frobenius_gap(run_method("te", cb, te_table(ct, om)).block, cb) < 1e-10
 
 
 def test_reconcile_oct_coherent_fixed_point_and_orthogonality():
     ct = toy_ct((2, 1))
     rng = np.random.default_rng(4)
     cb = coherent_block(rng, ct)
-    assert frobenius_gap(reconcile_oct(cb, sigma_ols(ct)).block, cb) < 1e-10
+    assert frobenius_gap(run_method("oct", cb, sigma_ols(ct)).block, cb) < 1e-10
     # identity covariance: the adjustment is orthogonal to the coherent subspace
     block = random_block(rng, ct)
-    out = reconcile_oct(block, sigma_ols(ct))
+    out = run_method("oct", block, sigma_ols(ct))
     residual = block.vector - out.block.vector
     assert np.abs(ct.full_summing("ct").T @ residual).max() < 1e-10
     assert max(out.coherence) < 1e-10
@@ -125,7 +121,7 @@ def test_reconcile_oct_separable_sigma_is_two_sided_projection():
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
     w, om = constant_weights(rng, ct)
-    out = reconcile_oct(block, np.kron(w, om))
+    out = run_method("oct", block, np.kron(w, om))
     m_cs = structural_projector(ct.cs.summing_dense, w).dense()
     m_te = structural_projector(ct.te.summing_dense, om).dense()
     assert np.allclose(out.block.values, m_cs @ block.values @ m_te.T, atol=1e-9)
@@ -138,7 +134,7 @@ def test_reconcile_oct_dense_and_sparse_paths_agree():
     diag = rng.uniform(0.5, 2.0, size=ct.dim)
     a = structural_projector(ct.full_summing("ct"), diag)(block.vector)
     b = zero_projector(ct.full_constraint("ct"), diag)(block.vector)
-    out = reconcile_oct(block, diag)
+    out = run_method("oct", block, diag)
     assert np.allclose(out.block.vector, a, atol=1e-9)
     assert np.allclose(out.block.vector, b, atol=1e-9)
 
@@ -152,7 +148,7 @@ def test_seq_coherent_input_unchanged_for_both_orders():
     cb = coherent_block(rng, ct)
     sig = sigma_ols(ct)
     for order in ("cst", "tcs"):
-        out = reconcile_seq(cb, sig, sig, order=order)
+        out = run_method(f"seq-{order}", cb, sig, sig)
         assert frobenius_gap(out.block, cb) < 1e-10
 
 
@@ -162,8 +158,8 @@ def test_seq_orders_differ_under_general_covariances():
     block = random_block(rng, ct)
     res = ResidualSet(rng.normal(size=(12, ct.n_series, ct.n_positions)) * rng.uniform(0.2, 3.0, size=(1, ct.n_series, 1)))
     sig = sigma_wlsv(ct, res)
-    a = reconcile_seq(block, sig, sig, order="cst")
-    b = reconcile_seq(block, sig, sig, order="tcs")
+    a = run_method("seq-cst", block, sig, sig)
+    b = run_method("seq-tcs", block, sig, sig)
     assert frobenius_gap(a.block, b.block) > 1e-6
 
 
@@ -173,7 +169,7 @@ def test_ka_coherent_input_unchanged():
     cb = coherent_block(rng, ct)
     sig = sigma_ols(ct)
     for order in ("cst", "tcs"):
-        out = reconcile_ka(cb, sig, sig, order=order)
+        out = run_method(f"ka-{order}", cb, sig, sig)
         assert frobenius_gap(out.block, cb) < 1e-10
         assert "ka-incoherent" not in out.flags
 
@@ -184,10 +180,10 @@ def test_ka_output_fully_coherent_and_differs_from_oct_under_wlsv():
     block = random_block(rng, ct)
     res = ResidualSet(rng.normal(size=(12, ct.n_series, ct.n_positions)) * rng.uniform(0.2, 3.0, size=(1, ct.n_series, 1)))
     sig = sigma_wlsv(ct, res)
-    ka = reconcile_ka(block, sig, sig, order="tcs")
+    ka = run_method("ka-tcs", block, sig, sig)
     tol = 1e-8 * max(1.0, np.abs(ka.block.values).max())
     assert max(ka.coherence) <= tol
-    oct_out = reconcile_oct(block, sig)
+    oct_out = run_method("oct", block, sig)
     assert frobenius_gap(ka.block, oct_out.block) > 1e-6
 
 
@@ -201,11 +197,11 @@ def test_iterative_single_cycle_under_constant_weights():
     w, om = constant_weights(rng, ct)
     w, om = cs_table(ct, w), te_table(ct, om)
     for order in ("cst", "tcs"):
-        out = reconcile_iterative(block, w, om, order=order)
+        out = run_method(f"ite-{order}", block, w, om)
         assert out.iterations == 1
         assert out.converged
         # the fixed point really is fixed: one more uni-dimensional step moves nothing
-        again = reconcile_cs(out.block, w)
+        again = run_method("cs", out.block, w)
         assert frobenius_gap(again.block, out.block) < 1e-6
 
 
@@ -214,8 +210,8 @@ def test_iterative_fixed_point_on_reconciled_input():
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
     sig = sigma_ols(ct)
-    first = reconcile_oct(block, sig)
-    out = reconcile_iterative(first.block, sig, sig, order="tcs")
+    first = run_method("oct", block, sig)
+    out = run_method("ite-tcs", first.block, sig, sig)
     assert out.iterations == 1
     assert out.trace[0] < 1e-8
 
@@ -226,20 +222,18 @@ def test_iterative_converges_to_oct_under_wlsv():
     block = random_block(rng, ct)
     res = ResidualSet(rng.normal(size=(20, ct.n_series, ct.n_positions)) * rng.uniform(0.2, 3.0, size=(1, ct.n_series, 1)))
     sig = sigma_wlsv(ct, res)
-    target = reconcile_oct(block, sig).block
+    target = run_method("oct", block, sig).block
     scale = max(1.0, np.linalg.norm(block.values))
     gaps = {}
     for delta in (1e-5, 1e-6, 1e-10):
-        out = reconcile_iterative(
-            block, sig, sig, order="tcs", delta=delta, max_iter=5000
-        )
+        out = run_method("ite-tcs", block, sig, sig, delta=delta, max_iter=5000)
         assert out.converged
         gaps[delta] = frobenius_gap(out.block, target)
         assert gaps[delta] <= 10 * delta * scale
     assert gaps[1e-5] >= gaps[1e-6] >= gaps[1e-10]
     # both orders land on the same point
-    a = reconcile_iterative(block, sig, sig, order="cst", delta=1e-10, max_iter=5000)
-    b = reconcile_iterative(block, sig, sig, order="tcs", delta=1e-10, max_iter=5000)
+    a = run_method("ite-cst", block, sig, sig, delta=1e-10, max_iter=5000)
+    b = run_method("ite-tcs", block, sig, sig, delta=1e-10, max_iter=5000)
     assert frobenius_gap(a.block, b.block) <= 1e-6 * scale
 
 
@@ -249,7 +243,7 @@ def test_iterative_flags_non_convergence_but_returns_result():
     block = random_block(rng, ct)
     res = ResidualSet(rng.normal(size=(8, ct.n_series, ct.n_positions)) * rng.uniform(0.2, 3.0, size=(1, ct.n_series, 1)))
     sig = sigma_wlsv(ct, res)
-    out = reconcile_iterative(block, sig, sig, order="tcs", delta=1e-14, max_iter=2)
+    out = run_method("ite-tcs", block, sig, sig, delta=1e-14, max_iter=2)
     assert not out.converged
     assert "non-converged" in out.flags
     assert out.iterations == 2
@@ -260,11 +254,12 @@ def test_iterative_validates_arguments():
     block = toy_block()
     sig = sigma_ols(block.structure)
     with pytest.raises(ValidationError):
-        reconcile_iterative(block, sig, sig, order="both")
+        run_method("ite-both", block, sig, sig)
+    for delta in (0.0, -1e-6, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            run_method("ite-tcs", block, sig, sig, delta=delta)
     with pytest.raises(ValidationError):
-        reconcile_iterative(block, sig, sig, delta=0.0)
-    with pytest.raises(ValidationError):
-        reconcile_iterative(block, sig, sig, max_iter=0)
+        run_method("ite-tcs", block, sig, sig, max_iter=0)
 
 
 # -- equivalence suite (constant weights) ------------------------------------
@@ -282,13 +277,13 @@ def test_constant_weight_equivalence_suite(seed):
     w, om = cs_table(ct, w), te_table(ct, om)
 
     results = {
-        "seq-cst": reconcile_seq(block, w, om, order="cst"),
-        "seq-tcs": reconcile_seq(block, w, om, order="tcs"),
-        "ka-cst": reconcile_ka(block, w, om, order="cst"),
-        "ka-tcs": reconcile_ka(block, w, om, order="tcs"),
-        "ite-cst": reconcile_iterative(block, w, om, order="cst"),
-        "ite-tcs": reconcile_iterative(block, w, om, order="tcs"),
-        "oct": reconcile_oct(block, oct_weights),
+        "seq-cst": run_method("seq-cst", block, w, om),
+        "seq-tcs": run_method("seq-tcs", block, w, om),
+        "ka-cst": run_method("ka-cst", block, w, om),
+        "ka-tcs": run_method("ka-tcs", block, w, om),
+        "ite-cst": run_method("ite-cst", block, w, om),
+        "ite-tcs": run_method("ite-tcs", block, w, om),
+        "oct": run_method("oct", block, oct_weights),
     }
     assert results["ite-cst"].iterations == 1
     assert results["ite-tcs"].iterations == 1
@@ -311,10 +306,10 @@ def test_square_block_reads_the_table_one_way_only():
     block = random_block(rng, ct)
     table = rng.uniform(0.2, 5.0, size=(3, 3))
     x = block.vector
-    for reconcile, framework in ((reconcile_cs, "cs"), (reconcile_te, "te")):
-        oracle = structural_projector(ct.full_summing(framework), table.ravel()).dense()
+    for method in ("cs", "te"):
+        oracle = structural_projector(ct.full_summing(method), table.ravel()).dense()
         for weights in (table, table.ravel()):
-            out = reconcile(block, weights).block.vector
+            out = run_method(method, block, weights).block.vector
             assert np.linalg.norm(out - oracle @ x) <= 1e-9 * np.linalg.norm(x)
 
 
@@ -322,17 +317,17 @@ def test_weight_table_must_cover_every_cell():
     block = toy_block()
     for bad in (np.ones(3), np.ones((3, 3, 3)), np.ones((2, 3))):
         with pytest.raises(ValidationError):
-            reconcile_cs(block, bad)
+            run_method("cs", block, bad)
     with pytest.raises(ValidationError):
-        reconcile_te(block, -np.ones((3, 3)))
+        run_method("te", block, -np.ones((3, 3)))
     # every n·q-entry array that is not (n, q) or flat would be misread
     ct = toy_ct((4, 2, 1))
     block = random_block(np.random.default_rng(23), ct)
     n, q = ct.n_series, ct.n_positions
     for bad in (np.ones((q, n)), np.ones((n * q, 1)), np.ones((1, n * q))):
-        for reconcile in (reconcile_cs, reconcile_te, reconcile_oct):
+        for method in ("cs", "te", "oct"):
             with pytest.raises(ValidationError, match="cell table"):
-                reconcile(block, bad)
+                run_method(method, block, bad)
 
 
 # -- coherence profile -------------------------------------------------------
@@ -348,21 +343,27 @@ def test_coherence_profile_matches_constraint_grid():
     sig = sigma_wlsv(ct, res)
     tol = lambda r: 1e-8 * max(1.0, np.abs(r.block.values).max())
 
-    r = reconcile_cs(block, sig)
+    r = run_method("cs", block, sig)
     assert r.coherence[0] <= tol(r) and r.coherence[1] > 1e-3
-    r = reconcile_te(block, sig)
+    r = run_method("te", block, sig)
     assert r.coherence[1] <= tol(r) and r.coherence[0] > 1e-3
-    r = reconcile_seq(block, sig, sig, order="cst")
+    r = run_method("seq-cst", block, sig, sig)
     assert r.coherence[1] <= tol(r) and r.coherence[0] > 1e-3
-    r = reconcile_seq(block, sig, sig, order="tcs")
+    r = run_method("seq-tcs", block, sig, sig)
     assert r.coherence[0] <= tol(r) and r.coherence[1] > 1e-3
     for r in (
-        reconcile_oct(block, sig),
-        reconcile_ka(block, sig, sig, order="cst"),
-        reconcile_ka(block, sig, sig, order="tcs"),
-        reconcile_iterative(block, sig, sig, order="tcs", delta=1e-9, max_iter=5000),
+        run_method("oct", block, sig),
+        run_method("ka-cst", block, sig, sig),
+        run_method("ka-tcs", block, sig, sig),
+        run_method("ite-tcs", block, sig, sig, delta=1e-9, max_iter=5000),
     ):
         assert max(r.coherence) <= tol(r)
+
+
+def test_verify_coherence_profile_covers_every_method():
+    # a method left out of the table would escape the profile check
+    assert set(COHERENCE_PROFILE) == set(METHODS)
+    assert check_coherence_profile().passed
 
 
 def test_ct_methods_idempotent_on_own_output():
@@ -370,8 +371,8 @@ def test_ct_methods_idempotent_on_own_output():
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
     sig = sigma_ols(ct)
-    out = reconcile_oct(block, sig)
-    again = reconcile_oct(out.block, sig)
+    out = run_method("oct", block, sig)
+    again = run_method("oct", out.block, sig)
     assert frobenius_gap(again.block, out.block) <= 1e-9 * max(
         1.0, np.linalg.norm(out.block.values)
     )
@@ -385,7 +386,7 @@ def test_sntz_nonnegative_input_unchanged():
     ct = toy_ct((2, 1))
     bottom = rng.uniform(0.5, 2.0, size=(ct.cs.n_bottom, ct.te.m))
     block = ForecastBlock(ct.from_bottom_hf(bottom), ct)
-    report = reconcile_oct(block, sigma_ols(ct))
+    report = run_method("oct", block, sigma_ols(ct))
     out = sntz(report)
     assert frobenius_gap(out.block, report.block) < 1e-12
     assert out.method.endswith("+sntz")
@@ -395,7 +396,7 @@ def test_sntz_clamps_and_reaggregates():
     ct = toy_ct((2, 1))
     bottom = np.array([[1.0, -0.5], [2.0, 1.0]])
     block = ForecastBlock(ct.from_bottom_hf(bottom), ct)
-    report = reconcile_oct(block, sigma_ols(ct))
+    report = run_method("oct", block, sigma_ols(ct))
     out = sntz(report)
     clamped = np.array([[1.0, 0.0], [2.0, 1.0]])
     assert np.allclose(ct.bottom_hf(out.block.values), clamped)
@@ -407,7 +408,7 @@ def test_sntz_output_coherent_and_nonnegative_at_bottom():
     rng = np.random.default_rng(19)
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct, scale=2.0)
-    out = sntz(reconcile_oct(block, sigma_ols(ct)))
+    out = sntz(run_method("oct", block, sigma_ols(ct)))
     x = out.block.vector
     assert np.abs(ct.full_constraint("ct") @ x).max() <= 1e-10 * max(1, np.abs(x).max())
     assert ct.bottom_hf(out.block.values).min() >= 0.0
@@ -463,7 +464,7 @@ def test_run_batch_is_deterministic_across_worker_counts():
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     blocks = [random_block(rng, ct, origin_id=f"{i:03d}") for i in range(6)]
     sig = sigma_ols(ct)
-    strategy = lambda b: reconcile_oct(b, sig)
+    strategy = lambda b: run_method("oct", b, sig)
     serial = run_batch(blocks, strategy, max_workers=1)
     threaded = run_batch(list(reversed(blocks)), strategy, max_workers=4)
     assert [r.block.origin_id for r in serial] == [r.block.origin_id for r in threaded]
@@ -477,14 +478,14 @@ def test_degenerate_single_order_grid():
     coherent = ForecastBlock(np.array([[2.0], [2.0]]), ct)
     sig = sigma_ols(ct)
     for report in (
-        reconcile_oct(coherent, sig),
-        reconcile_te(coherent, sig),
-        reconcile_iterative(coherent, sig, sig),
+        run_method("oct", coherent, sig),
+        run_method("te", coherent, sig),
+        run_method("ite-tcs", coherent, sig, sig),
     ):
         assert frobenius_gap(report.block, coherent) < 1e-12
     # the temporal step is the identity even on incoherent input
     ragged = ForecastBlock(np.array([[3.0], [1.0]]), ct)
-    assert frobenius_gap(reconcile_te(ragged, sig).block, ragged) < 1e-12
+    assert frobenius_gap(run_method("te", ragged, sig).block, ragged) < 1e-12
 
 
 def test_constant_residuals_floor_flag_surfaces_and_methods_still_work():
@@ -493,7 +494,7 @@ def test_constant_residuals_floor_flag_surfaces_and_methods_still_work():
     sig = sigma_wlsv(ct, res)
     assert len(sig.floored) == ct.n_series * len(ct.te.orders)
     block = ForecastBlock(np.array([[4.0, 1.0, 2.0], [1.0, 0.5, 1.0], [2.0, 1.0, 0.5]]), ct)
-    out = reconcile_iterative(block, sig, sig, order="tcs")
+    out = run_method("ite-tcs", block, sig, sig)
     # the floored covariance is a scaled identity: single-cycle convergence
     assert out.iterations == 1
     assert "variance-floor" in out.flags
