@@ -25,6 +25,7 @@ from .evaluate import (
 )
 from .hierarchy import CrossTemporalStructure, build_cs, build_ct, build_te
 from .reconcile import (
+    COHERENCE_PROFILE,
     ITERATIVE_DEFAULT_DELTA,
     ITERATIVE_DEFAULT_MAX_ITER,
     METHODS as RECONCILE_METHODS,
@@ -109,6 +110,8 @@ def _baseline(method: str, ct: CrossTemporalStructure, histories):
 def cmd_reconcile(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+    if args.sntz and not all(COHERENCE_PROFILE.get(args.method, (True, True))):
+        raise ValidationError(f"--sntz needs a fully coherent method; {args.method} is not")
     ct = _load_structure(args)
     blocks = io.read_blocks_csv(args.input, ct)
     residuals = io.read_residuals_csv(args.residuals, ct) if args.residuals else None
@@ -117,7 +120,6 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
     reports = run_batch(blocks, strategy, max_workers=args.threads)
     if len(reports) != len(blocks):
         raise ReconciliationError(f"{len(reports)} reports for {len(blocks)} origins")
-    args.out.mkdir(parents=True, exist_ok=True)
     io.write_blocks_csv(args.out / "reconciled.csv", [r.block for r in reports])
     io.write_reports_jsonl(
         args.out / "reports.jsonl", reports, timings=args.timings, memory=args.memory
@@ -138,7 +140,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     io.write_blocks_csv(out / "actuals.csv", data.actuals)
     io.write_blocks_csv(out / "base.csv", data.bases)
     if data.residuals is not None:
@@ -163,7 +164,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     levels = io.read_levels_csv(args.levels, ct) if args.levels else ()
     frame = EvalFrame(ct, tuple(actuals), candidates, levels)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     io.write_nrmse_csv(out / "nrmse.csv", nrmse_table(frame, baseline=args.baseline))
     if len(candidates) >= 2:
         ranks = {k: mcb_nemenyi(frame, k, alpha=args.alpha) for k in (ct.te.m, 1)}
@@ -219,7 +219,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for block in data.bases:
                 reports.append(replace(run(block), method=f"{method}[{cov}]"))
     rows = perf_summary(reports)
-    args.out.mkdir(parents=True, exist_ok=True)
     io.write_perf_csv(args.out / "perf.csv", rows)
     width = max(len(r.method) for r in rows)
     for row in sorted(rows, key=lambda r: r.elapsed_median):

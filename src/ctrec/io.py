@@ -14,6 +14,7 @@ import json
 import warnings
 from contextlib import contextmanager
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -52,8 +53,49 @@ def _csv_rows(path, lines):
         raise ValidationError(f"{path}:{reader.line_num}: {exc}")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+@contextmanager
+def open_output(path):
+    """Open an output file for writing, creating its directory; a path that
+    cannot be created or written raises ValidationError naming it."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot write {path}: {reason}")
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as ``csv.writer``'s default dialect does,
+    one join per row: text quoted by the csv module's rules, floats as
+    ``repr``, integers as ``str`` (numpy scalars as the Python numbers they
+    hold) and CRLF line ends."""
+    sink = StringIO()
+    writer = csv.writer(sink)
+    texts: dict[str, str] = {}
+
+    def render(cell) -> str:
+        if isinstance(cell, np.generic):
+            cell = cell.item()
+        if not isinstance(cell, str):
+            return repr(cell) if isinstance(cell, float) else str(cell)
+        if cell not in texts:  # beside a second cell: a lone empty cell is quoted
+            writer.writerow((cell, ""))
+            texts[cell] = sink.getvalue()[:-3]  # less ",\r\n"
+            sink.seek(0)
+            sink.truncate()
+        return texts[cell]
+
+    with open_output(path) as fh:
+        for row in chain([header], rows):
+            line = ",".join([repr(c) if type(c) is float else render(c) for c in row])
+            fh.write((line if line or not row else '""') + "\r\n")  # [""] is quoted
 
 
 def position_labels(te: TemporalStructure) -> list[str]:
@@ -182,13 +224,12 @@ def write_hierarchy_file(path, ct: CrossTemporalStructure) -> None:
             lines.append(f"{cs.labels[r]}: " + ", ".join(names))
     else:
         weights_name = path.stem + "_weights.csv"
-        with open(path.parent / weights_name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["series"] + list(bottoms))
-            for r in range(cs.n_upper):
-                writer.writerow([cs.labels[r]] + [_fmt(v) for v in cs.agg[r]])
+        _write_csv(path.parent / weights_name, ["series", *bottoms], (
+            [cs.labels[r], *map(float, cs.agg[r])] for r in range(cs.n_upper)
+        ))
         lines.append(f"matrix = {weights_name}")
-    path.write_text("\n".join(lines) + "\n")
+    with open_output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # -- forecast and residual CSVs ----------------------------------------------
@@ -197,14 +238,11 @@ def write_hierarchy_file(path, ct: CrossTemporalStructure) -> None:
 def _write_keyed_csv(path, columns: list[str], labels, tables) -> None:
     """A wide CSV with one row per (origin, series): ``tables`` yields
     (origin, array) pairs whose row i holds series ``labels[i]``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["origin", "series", *columns])
-        for origin, table in tables:
-            writer.writerows(
-                [origin, label, *map(repr, row.tolist())]
-                for label, row in zip(labels, np.asarray(table, dtype=float))
-            )
+    _write_csv(path, ["origin", "series", *columns], (
+        [origin, label, *row.tolist()]
+        for origin, table in tables
+        for label, row in zip(labels, np.asarray(table, dtype=float))
+    ))
 
 
 def write_blocks_csv(path, blocks: Sequence[ForecastBlock]) -> None:
@@ -450,7 +488,7 @@ def write_reports_jsonl(
     timings: bool = False,
     memory: bool = False,
 ) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         for report in reports:
             fh.write(json.dumps(report_dict(report, timings, memory), sort_keys=True))
             fh.write("\n")
@@ -477,80 +515,39 @@ def read_reports_jsonl(path) -> list[dict]:
 
 def write_nrmse_csv(path, table: NrmseTable) -> None:
     header = ["level", "candidate"] + [f"k{k}" for k in table.orders]
-    if table.baseline is not None:
-        header += [f"worse_than_{table.baseline}_k{k}" for k in table.orders]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for level, candidate, values in table.rows():
-            row = [level, candidate] + [_fmt(v) for v in values]
-            if table.baseline is not None:
-                row += [
-                    str(int((level, candidate, k) in table.flagged))
-                    for k in table.orders
-                ]
-            writer.writerow(row)
+    flag_orders = table.orders if table.baseline is not None else ()
+    header += [f"worse_than_{table.baseline}_k{k}" for k in flag_orders]
+    _write_csv(path, header, (
+        [level, candidate, *map(float, values),
+         *(int((level, candidate, k) in table.flagged) for k in flag_orders)]
+        for level, candidate, values in table.rows()
+    ))
 
 
 def write_ranks_csv(path, results: Mapping[int, NemenyiResult]) -> None:
     """Mean-rank table per order, with the interval metadata per row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["order", "candidate", "mean_rank", "lo", "hi", "half_width", "alpha", "cases"]
-        )
-        for k in sorted(results, reverse=True):
-            res = results[k]
-            for name in res.ordered():
-                lo, hi = res.interval(name)
-                writer.writerow(
-                    [
-                        f"k{k}",
-                        name,
-                        _fmt(res.mean_ranks[name]),
-                        _fmt(lo),
-                        _fmt(hi),
-                        _fmt(res.half_width),
-                        _fmt(res.alpha),
-                        res.n_cases,
-                    ]
-                )
+    rows = []
+    for k in sorted(results, reverse=True):
+        res = results[k]
+        for name in res.ordered():
+            numbers = (res.mean_ranks[name], *res.interval(name), res.half_width, res.alpha)
+            rows.append([f"k{k}", name, *map(float, numbers), res.n_cases])
+    header = ["order", "candidate", "mean_rank", "lo", "hi", "half_width", "alpha", "cases"]
+    _write_csv(path, header, rows)
 
 
 def write_trace_csv(path, rows: Iterable[tuple[str, int, float, float]]) -> None:
     """Plot-ready long format: method, iteration, gap, delta."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "iteration", "gap", "delta"])
-        for method, iteration, gap, delta in rows:
-            writer.writerow([method, iteration, _fmt(gap), _fmt(delta)])
+    _write_csv(path, ["method", "iteration", "gap", "delta"], (
+        (method, i, float(gap), float(delta)) for method, i, gap, delta in rows
+    ))
 
 
 def write_perf_csv(path, rows: Sequence[PerfRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "method",
-                "runs",
-                "elapsed_median",
-                "elapsed_q25",
-                "elapsed_q75",
-                "mem_median",
-                "mem_q25",
-                "mem_q75",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.method,
-                    row.runs,
-                    _fmt(row.elapsed_median),
-                    _fmt(row.elapsed_iqr[0]),
-                    _fmt(row.elapsed_iqr[1]),
-                    _fmt(row.mem_median),
-                    _fmt(row.mem_iqr[0]),
-                    _fmt(row.mem_iqr[1]),
-                ]
-            )
+    header = ["method", "runs", "elapsed_median", "elapsed_q25", "elapsed_q75",
+              "mem_median", "mem_q25", "mem_q75"]
+    _write_csv(path, header, (
+        [row.method, row.runs, *map(float, (row.elapsed_median, *row.elapsed_iqr)),
+         *map(float, (row.mem_median, *row.mem_iqr))]
+        for row in rows
+    ))

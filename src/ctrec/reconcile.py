@@ -28,7 +28,6 @@ import threading
 import time
 import tracemalloc
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -48,6 +47,18 @@ ITERATIVE_DEFAULT_MAX_ITER = 100
 METHODS = (
     "cs", "te", "oct", "seq-cst", "seq-tcs", "ka-cst", "ka-tcs", "ite-cst", "ite-tcs",
 )
+# method: (cross-sectional constraints hold, temporal constraints hold)
+COHERENCE_PROFILE = {
+    "cs": (True, False),
+    "te": (False, True),
+    "oct": (True, True),
+    "seq-cst": (False, True),
+    "seq-tcs": (True, False),
+    "ka-cst": (True, True),
+    "ka-tcs": (True, True),
+    "ite-cst": (True, True),
+    "ite-tcs": (True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -441,6 +452,8 @@ def run_batch(
     blocks = sorted(blocks, key=lambda b: b.origin_id)
     if max_workers <= 1:
         return [strategy(b) for b in blocks]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
+
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(strategy, blocks))
 

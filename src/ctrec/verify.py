@@ -16,7 +16,9 @@ import numpy as np
 from .covariance import ResidualSet, sigma_ols, sigma_wlsv
 from .errors import ValidationError
 from .hierarchy import CrossTemporalStructure
-from .reconcile import METHODS, ForecastBlock, frobenius_gap, prepare, sntz
+from .reconcile import (
+    COHERENCE_PROFILE, METHODS, ForecastBlock, frobenius_gap, prepare, sntz,
+)
 from .reference import structural_projector, zero_projector
 from .simulate import random_structure
 
@@ -218,20 +220,6 @@ def check_dense_oracle(seed: int = 0, instances: int = 5, tol: float = 1e-9) -> 
         worst,
         f"{instances} instances, max relative gap {worst:.3e} (tol {tol:g})",
     )
-
-
-# method: (cross-sectional constraints hold, temporal constraints hold)
-COHERENCE_PROFILE = {
-    "cs": (True, False),
-    "te": (False, True),
-    "oct": (True, True),
-    "seq-cst": (False, True),
-    "seq-tcs": (True, False),
-    "ka-cst": (True, True),
-    "ka-tcs": (True, True),
-    "ite-cst": (True, True),
-    "ite-tcs": (True, True),
-}
 
 
 def check_coherence_profile(seed: int = 0, tol: float = 1e-8) -> CheckResult:

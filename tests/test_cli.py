@@ -167,6 +167,21 @@ def test_reconcile_pers_bu_and_sntz(workdir):
     assert all("sntz" in r["flags"] for r in records)
 
 
+@pytest.mark.parametrize("method", ["cs", "te", "seq-cst", "seq-tcs"])
+def test_reconcile_refuses_sntz_after_a_partly_coherent_method(workdir, capsys, method):
+    # sntz rebuilds every level from the finest bottom values, so after a
+    # method that leaves one dimension incoherent it would overwrite that
+    # method's result; the refusal comes before any file is read
+    code = run(
+        ["reconcile", "--hierarchy", workdir / "missing.txt", "--input",
+         workdir / "missing.csv", "--method", method, "--sntz", "--out", workdir / "out"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--sntz needs a fully coherent method; {method} is not" in err
+    assert not (workdir / "out").exists()
+
+
 def test_reconcile_validation_exit_codes(workdir):
     sim = simulate(workdir)
     # missing residuals for wlsv
@@ -271,6 +286,49 @@ def test_reconcile_missing_input_file_exits_2_naming_it(workdir, capsys, flag):
         argv += [name, path]
     assert run(argv) == 2
     assert str(missing) in capsys.readouterr().err
+
+
+def _unusable_output_commands(workdir):
+    """(arguments less --out, first file written) of each writing command."""
+    sim = simulate(workdir)
+    hier = ["--hierarchy", workdir / "hier.txt"]
+    return {
+        "reconcile": (["reconcile", *hier, "--input", sim / "base.csv"], "reconciled.csv"),
+        "simulate": (["simulate", *hier, "--reps", 1], "actuals.csv"),
+        "evaluate": (
+            ["evaluate", *hier, "--actuals", sim / "actuals.csv",
+             "--candidate", f"base={sim / 'base.csv'}"],
+            "nrmse.csv",
+        ),
+        "bench": (
+            ["bench", *hier, "--reps", 1, "--methods", "oct", "--covs", "ols"], "perf.csv"
+        ),
+    }
+
+
+@pytest.mark.parametrize("command", ["reconcile", "simulate", "evaluate", "bench"])
+@pytest.mark.parametrize(
+    "case", ["out-is-a-file", "out-below-a-file", "file-is-a-dir", "nul-byte"]
+)
+def test_an_unusable_output_path_exits_2_naming_it(workdir, capsys, command, case):
+    args, first = _unusable_output_commands(workdir)[command]
+    blocker = workdir / "blocker"
+    if case == "out-is-a-file":
+        blocker.write_text("")
+        out = blocker
+    elif case == "out-below-a-file":
+        blocker.write_text("")
+        out = blocker / "sub"
+    elif case == "file-is-a-dir":
+        out = workdir / "taken"
+        (out / first).mkdir(parents=True)
+    else:
+        out = workdir / "bad\0dir"
+    capsys.readouterr()
+    assert run([*args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / first}: ")
+    assert "Traceback" not in err
 
 
 def test_reconcile_non_convergence_exit_code_and_outputs(workdir):
@@ -591,7 +649,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(workdir):
     # verify, the sparse reference path (ctrec.reference), the rank test and
     # Gram systems of more than INVERSE_CUTOFF rows need it: neither the
     # imports nor a reconcile run of oct or ite-tcs under wlsv may load any
-    # of it, nor ctrec.reference
+    # of it, nor ctrec.reference; nor, with one thread, concurrent.futures
     sim = simulate(workdir)
     env = dict(os.environ, PYTHONPATH=str(Path(ctrec.__file__).parents[1]))
     code = """if True:
@@ -599,7 +657,8 @@ def test_cli_import_leaves_scipy_stats_unloaded(workdir):
         def unwanted():
             return sorted(
                 m for m in sys.modules
-                if m.split(".")[0] == "scipy" or m == "ctrec.reference"
+                if m.split(".")[0] in ("scipy", "concurrent")
+                or m == "ctrec.reference"
             )
         import ctrec
         assert not unwanted(), ("import ctrec", unwanted())

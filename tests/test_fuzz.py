@@ -1,5 +1,6 @@
 """Property tests of the file boundary: any input either parses or raises
-ValidationError (StructureError is one), never another exception.
+ValidationError (StructureError is one), never another exception, and every
+CSV writer renders what the csv module renders.
 
 Examples are derandomized so the suite stays deterministic.
 """
@@ -7,6 +8,7 @@ Examples are derandomized so the suite stays deterministic.
 import csv
 import io
 from io import StringIO
+from typing import Iterable, Mapping, Sequence
 from unittest import mock
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 import ctrec.io
 from ctrec.errors import ValidationError
+from ctrec.evaluate import NemenyiResult, NrmseTable, PerfRow
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.io import (
     open_input,
@@ -437,3 +440,216 @@ def test_arbitrary_bytes_parse_or_raise_validation_error(scratch, data):
         read_hierarchy_file(path)
     except ValidationError:
         pass
+
+
+# The csv.writer writers that the one CSV writer replaced, kept verbatim as
+# the byte oracle of the tests below.
+
+
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def _write_keyed_csv(path, columns: list[str], labels, tables) -> None:
+    """A wide CSV with one row per (origin, series): ``tables`` yields
+    (origin, array) pairs whose row i holds series ``labels[i]``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["origin", "series", *columns])
+        for origin, table in tables:
+            writer.writerows(
+                [origin, label, *map(repr, row.tolist())]
+                for label, row in zip(labels, np.asarray(table, dtype=float))
+            )
+
+
+def write_nrmse_csv(path, table: NrmseTable) -> None:
+    header = ["level", "candidate"] + [f"k{k}" for k in table.orders]
+    if table.baseline is not None:
+        header += [f"worse_than_{table.baseline}_k{k}" for k in table.orders]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for level, candidate, values in table.rows():
+            row = [level, candidate] + [_fmt(v) for v in values]
+            if table.baseline is not None:
+                row += [
+                    str(int((level, candidate, k) in table.flagged))
+                    for k in table.orders
+                ]
+            writer.writerow(row)
+
+
+def write_ranks_csv(path, results: Mapping[int, NemenyiResult]) -> None:
+    """Mean-rank table per order, with the interval metadata per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["order", "candidate", "mean_rank", "lo", "hi", "half_width", "alpha", "cases"]
+        )
+        for k in sorted(results, reverse=True):
+            res = results[k]
+            for name in res.ordered():
+                lo, hi = res.interval(name)
+                writer.writerow(
+                    [
+                        f"k{k}",
+                        name,
+                        _fmt(res.mean_ranks[name]),
+                        _fmt(lo),
+                        _fmt(hi),
+                        _fmt(res.half_width),
+                        _fmt(res.alpha),
+                        res.n_cases,
+                    ]
+                )
+
+
+def write_trace_csv(path, rows: Iterable[tuple[str, int, float, float]]) -> None:
+    """Plot-ready long format: method, iteration, gap, delta."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "iteration", "gap", "delta"])
+        for method, iteration, gap, delta in rows:
+            writer.writerow([method, iteration, _fmt(gap), _fmt(delta)])
+
+
+def write_perf_csv(path, rows: Sequence[PerfRow]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [
+                "method",
+                "runs",
+                "elapsed_median",
+                "elapsed_q25",
+                "elapsed_q75",
+                "mem_median",
+                "mem_q25",
+                "mem_q75",
+            ]
+        )
+        for row in rows:
+            writer.writerow(
+                [
+                    row.method,
+                    row.runs,
+                    _fmt(row.elapsed_median),
+                    _fmt(row.elapsed_iqr[0]),
+                    _fmt(row.elapsed_iqr[1]),
+                    _fmt(row.mem_median),
+                    _fmt(row.mem_iqr[0]),
+                    _fmt(row.mem_iqr[1]),
+                ]
+            )
+
+
+# Text that the csv module quotes, or that sits next to such text: delimiters,
+# quotes, line breaks, empty and space-padded cells, non-ASCII.
+TEXT = st.one_of(
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", "", " ", " a", "a ", "é ü", "日本",
+                     'to"t', "a,b", "x\ny", "0001"]),
+    st.text(alphabet=',"\r\n a0é日', max_size=4),
+)
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.1, 1e16, 123456789.0]
+FINITE = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+# what callers pass for a number: floats, numpy scalars and, where _fmt
+# converted them, integers
+NUMBER = st.one_of(
+    ANY_FLOAT, ANY_FLOAT.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-5, 5), st.integers(-5, 5).map(np.int64),
+)
+COUNT = st.one_of(st.integers(0, 10**6), st.integers(0, 50).map(np.int64))
+
+
+def _same_bytes(scratch, oracle, writer, *args):
+    old, new = scratch / "oracle.csv", scratch / "writer.csv"
+    oracle(old, *args)
+    writer(new, *args)
+    assert new.read_bytes() == old.read_bytes()
+
+
+@st.composite
+def keyed_tables(draw):
+    labels = draw(st.lists(TEXT, min_size=1, max_size=4))
+    columns = draw(st.lists(TEXT, min_size=1, max_size=4))
+    origins = draw(st.lists(TEXT, max_size=3))
+    tables = [
+        (origin, draw(arrays(float, (len(labels), len(columns)), elements=FINITE)))
+        for origin in origins
+    ]
+    return columns, labels, tables
+
+
+@settings(FUZZ, max_examples=120)
+@given(table=keyed_tables())
+@example(table=(["k1_1"], ["", ","], [("", np.array([[-0.0], [5e-324]]))]))
+@example(table=([""], ['"'], [("\r\n", np.array([[1e300]]))]))
+def test_keyed_writer_matches_csv_writer(scratch, table):
+    _same_bytes(scratch, _write_keyed_csv, ctrec.io._write_keyed_csv, *table)
+
+
+@st.composite
+def nrmse_tables(draw):
+    levels = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    orders = tuple(draw(st.lists(st.integers(1, 24), min_size=1, max_size=3, unique=True)))
+    candidates = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    cells = [(lv, c, k) for lv in levels for c in candidates for k in orders]
+    values = {cell: draw(NUMBER) for cell in cells}
+    baseline = draw(st.one_of(st.none(), st.sampled_from(candidates)))
+    flagged = frozenset(cell for cell in cells if draw(st.booleans()))
+    return NrmseTable(tuple(levels), orders, tuple(candidates), values, baseline, flagged)
+
+
+@settings(FUZZ, max_examples=60)
+@given(table=nrmse_tables())
+def test_nrmse_writer_matches_csv_writer(scratch, table):
+    _same_bytes(scratch, write_nrmse_csv, ctrec.io.write_nrmse_csv, table)
+
+
+# the writer adds a rank and the half width: numbers whose sum cannot overflow
+RANK = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e300]), st.floats(-1e6, 1e6),
+    st.floats(-1e6, 1e6).map(np.float64), st.integers(-5, 5),
+)
+RANKS = st.dictionaries(
+    st.integers(1, 24),
+    st.builds(
+        NemenyiResult,
+        mean_ranks=st.dictionaries(TEXT, RANK, min_size=1, max_size=4),
+        half_width=RANK, alpha=NUMBER, n_cases=COUNT, q_value=ANY_FLOAT,
+    ),
+    max_size=3,
+)
+
+
+@settings(FUZZ, max_examples=60)
+@given(results=RANKS)
+def test_ranks_writer_matches_csv_writer(scratch, results):
+    _same_bytes(scratch, write_ranks_csv, ctrec.io.write_ranks_csv, results)
+
+
+@settings(FUZZ, max_examples=60)
+@given(rows=st.lists(st.tuples(TEXT, COUNT, NUMBER, NUMBER), max_size=6))
+@example(rows=[("ite-tcs", 1, float("nan"), 1e-10), ("", 2, -0.0, float("nan"))])
+def test_trace_writer_matches_csv_writer(scratch, rows):
+    _same_bytes(scratch, write_trace_csv, ctrec.io.write_trace_csv, rows)
+
+
+PERF_ROWS = st.lists(
+    st.builds(
+        PerfRow, method=TEXT, runs=COUNT, elapsed_median=NUMBER,
+        elapsed_iqr=st.tuples(NUMBER, NUMBER), mem_median=NUMBER,
+        mem_iqr=st.tuples(NUMBER, NUMBER),
+    ),
+    max_size=4,
+)
+
+
+@settings(FUZZ, max_examples=60)
+@given(rows=PERF_ROWS)
+def test_perf_writer_matches_csv_writer(scratch, rows):
+    _same_bytes(scratch, write_perf_csv, ctrec.io.write_perf_csv, rows)

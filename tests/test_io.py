@@ -1,5 +1,7 @@
 """Tests for file formats: hierarchy specs, wide CSVs, reports."""
 
+import csv
+import errno
 import json
 import re
 import warnings
@@ -11,6 +13,8 @@ from ctrec.covariance import ResidualSet
 from ctrec.errors import ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.io import (
+    _write_csv,
+    open_output,
     position_labels,
     read_blocks_csv,
     read_hierarchy_file,
@@ -228,7 +232,7 @@ def test_history_csv_round_trip(tmp_path):
 
 
 def test_keyed_csvs_round_trip_labels_that_need_quoting(tmp_path):
-    # csv.writer quotes these labels, so the reader takes its csv-module path
+    # the writer quotes these labels, so the reader takes its csv-module path
     cs = build_cs(np.array([[1.0, 1.0]]), ['to"t', "a,1", "b"])
     ct = build_ct(cs, build_te([2, 1]))
     rng = np.random.default_rng(3)
@@ -244,6 +248,35 @@ def test_keyed_csvs_round_trip_labels_that_need_quoting(tmp_path):
     back = read_history_csv(path, ct)
     assert np.array_equal(back["0000"], histories[0])
     assert np.array_equal(back["0001"], histories[1])
+
+
+def test_csv_writer_matches_the_csv_module_on_numpy_scalars_and_a_lone_empty_cell(
+    tmp_path,
+):
+    # under numpy 2 the csv module would write repr(np.float64(0.1)) as
+    # "np.float64(0.1)"; the writer writes the float it holds. The csv module
+    # quotes an empty cell only when it is the row's only one
+    row = [np.float64(0.1), np.float32(0.1), np.int64(3), 7, -0.0, "", "a,b", 'q"', "x\ny"]
+    expected = [0.1, float(np.float32(0.1)), 3, 7, -0.0, "", "a,b", 'q"', "x\ny"]
+    _write_csv(tmp_path / "mine.csv", ["h1", ""], [row, [""]])
+    with open(tmp_path / "module.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["h1", ""], expected, [""]])
+    assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "module.csv").read_bytes()
+
+
+def test_open_output_creates_directories_and_names_a_path_it_cannot_write(tmp_path):
+    with open_output(tmp_path / "a" / "b" / "out.txt") as fh:
+        fh.write("x\n")
+    assert (tmp_path / "a" / "b" / "out.txt").read_bytes() == b"x\n"
+    (tmp_path / "file").write_text("")
+    for path in (tmp_path / "file" / "out.txt", tmp_path / "a", "nul\0.txt"):
+        with pytest.raises(ValidationError, match=f"cannot write {re.escape(str(path))}: "):
+            with open_output(path):
+                pass
+    # a failed write, as on a full disk
+    with pytest.raises(ValidationError, match="out.txt: No space left on device"):
+        with open_output(tmp_path / "out.txt"):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def test_blocks_csv_with_every_value_blank_names_the_first_line(tmp_path):

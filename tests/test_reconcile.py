@@ -8,6 +8,7 @@ from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
 from ctrec.errors import ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.reconcile import (
+    COHERENCE_PROFILE,
     METHODS,
     ForecastBlock,
     baseline_bu,
@@ -17,7 +18,7 @@ from ctrec.reconcile import (
     sntz,
 )
 from ctrec.reference import structural_projector, zero_projector
-from ctrec.verify import COHERENCE_PROFILE, check_coherence_profile
+from ctrec.verify import check_coherence_profile
 from helpers import random_structure, run_method, toy_ct
 
 
