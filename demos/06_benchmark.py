@@ -26,7 +26,7 @@ from ctrec import (
     sigma_wlsv,
     simulate_dataset,
 )
-from ctrec.io import write_perf_csv
+from ctrec.io import report_dict, write_perf_csv
 
 REPS = 3
 
@@ -54,7 +54,7 @@ reports = [
 iters = {r.method: r.iterations for r in reports}
 print("cycles per run:", {k: v for k, v in iters.items() if k.startswith("ite")})
 
-rows = perf_summary(reports)
+rows = perf_summary(report_dict(r, timings=True, memory=True) for r in reports)
 print(f"\n{'combination':<16} {'median time':>12} {'median peak':>12}")
 for row in sorted(rows, key=lambda r: r.elapsed_median):
     print(f"{row.method:<16} {row.elapsed_median * 1e3:>9.1f} ms "

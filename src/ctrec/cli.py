@@ -10,20 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import covariance, io
-from .errors import NumericalError, ReconciliationError, ValidationError
-from .evaluate import (
-    DEFAULT_ALPHA,
-    EvalFrame,
-    mcb_nemenyi,
-    nrmse_table,
-    perf_summary,
-    perf_summary_from_records,
+from .errors import NumericalError, ReconciliationError, StructureError, ValidationError
+from .evaluate import DEFAULT_ALPHA, EvalFrame, mcb_nemenyi, nrmse_table, perf_summary
+from .hierarchy import (
+    CrossTemporalStructure, TemporalStructure, build_cs, build_ct, build_te,
 )
-from .hierarchy import CrossTemporalStructure, build_cs, build_ct, build_te
 from .reconcile import (
     COHERENCE_PROFILE,
     ITERATIVE_DEFAULT_DELTA,
@@ -50,12 +45,25 @@ EXIT_NON_CONVERGENCE = 4
 def _load_structure(args: argparse.Namespace) -> CrossTemporalStructure:
     """The structure of --hierarchy (bench without one: the built-in
     324-series shape), its temporal orders replaced by --orders when given
-    (checked before the file is read)."""
-    override = _orders(args.orders)
+    (checked before the file is read). A structure fault is prefixed with
+    its source: --orders or the hierarchy file."""
+    te = _orders(args.orders)
     if args.hierarchy is None:
-        return pv324_structure(override or PV324_ORDERS)
+        return pv324_structure(te.orders if te else PV324_ORDERS)
     agg, labels, orders = io.read_hierarchy_file(args.hierarchy)
-    return build_ct(build_cs(agg, labels), build_te(override or orders))
+    with _naming(args.hierarchy):
+        cs = build_cs(agg, labels)
+        te = te or build_te(orders)
+    return build_ct(cs, te)
+
+
+@contextmanager
+def _naming(source):
+    """Prefix ``source`` to a structure fault raised inside."""
+    try:
+        yield
+    except StructureError as exc:
+        raise StructureError(f"{source}: {exc}") from None
 
 
 def _strategy(args: argparse.Namespace, ct: CrossTemporalStructure, residuals, histories):
@@ -162,14 +170,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValidationError(f"--candidate name {name!r} given twice")
         candidates[name] = tuple(io.read_blocks_csv(Path(path), ct))
     levels = io.read_levels_csv(args.levels, ct) if args.levels else ()
+    records = io.read_reports_jsonl(args.reports) if args.reports else None
     frame = EvalFrame(ct, tuple(actuals), candidates, levels)
     out = args.out
     io.write_nrmse_csv(out / "nrmse.csv", nrmse_table(frame, baseline=args.baseline))
     if len(candidates) >= 2:
         ranks = {k: mcb_nemenyi(frame, k, alpha=args.alpha) for k in (ct.te.m, 1)}
         io.write_ranks_csv(out / "ranks.csv", ranks)
-    if args.reports:
-        records = io.read_reports_jsonl(args.reports)
+    if records is not None:
         rows = [
             (record["method"], i, gap, record.get("delta", float("nan")))
             for record in records
@@ -177,7 +185,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ]
         io.write_trace_csv(out / "trace.csv", rows)
         if any("elapsed" in record or "peak_mem" in record for record in records):
-            io.write_perf_csv(out / "perf.csv", perf_summary_from_records(records))
+            io.write_perf_csv(out / "perf.csv", perf_summary(records))
     print(f"evaluation tables -> {out}")
     return EXIT_OK
 
@@ -209,7 +217,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ct, n_origins=args.reps, n_residual_origins=20, noise_sd=args.noise, seed=args.seed
     )
     histories = {b.origin_id: h for b, h in zip(data.bases, data.histories)}
-    reports: list[ReconcileReport] = []
+    records = []
     for cov in covariances:
         for method in methods:
             run = _strategy(
@@ -217,8 +225,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ct, data.residuals, histories,
             )
             for block in data.bases:
-                reports.append(replace(run(block), method=f"{method}[{cov}]"))
-    rows = perf_summary(reports)
+                record = io.report_dict(run(block), timings=True, memory=True)
+                records.append({**record, "method": f"{method}[{cov}]"})
+    rows = perf_summary(records)
     io.write_perf_csv(args.out / "perf.csv", rows)
     width = max(len(r.method) for r in rows)
     for row in sorted(rows, key=lambda r: r.elapsed_median):
@@ -309,20 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _orders(text: str | None) -> list[int] | None:
-    """``--orders`` as integers."""
+def _orders(text: str | None) -> TemporalStructure | None:
+    """``--orders`` as a temporal structure."""
     if not text:
         return None
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        orders = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise ValidationError(f"bad --orders value {text!r}")
+    with _naming("--orders"):
+        return build_te(orders)
 
 
 def main(argv=None) -> int:
+    """Run one command. Its outputs move into place together when it
+    returns; a command that raises leaves every earlier output as it was."""
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        with io.committing():
+            return args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -269,16 +269,11 @@ class PerfRow:
     mem_iqr: tuple[float, float]
 
 
-def perf_summary(reports: Iterable[ReconcileReport]) -> list[PerfRow]:
-    """Median and interquartile range of wall time and peak allocation per method."""
-    return perf_summary_from_records(
-        {"method": r.method, "elapsed": r.elapsed, "peak_mem": r.peak_mem}
-        for r in reports
-    )
-
-
-def perf_summary_from_records(records: Iterable[Mapping]) -> list[PerfRow]:
-    """Same summary from plain dicts (e.g. parsed report streams)."""
+def perf_summary(records: Iterable[Mapping]) -> list[PerfRow]:
+    """Median and interquartile range of wall time and peak allocation per
+    method, over report records: ``io.report_dict(r, timings=True,
+    memory=True)`` or ``io.read_reports_jsonl``. An absent ``elapsed`` or
+    ``peak_mem`` reads as 0."""
     by_method: dict[str, list[Mapping]] = {}
     for record in records:
         by_method.setdefault(record["method"], []).append(record)

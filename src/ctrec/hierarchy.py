@@ -293,8 +293,11 @@ def build_cs(
     labels = tuple(str(s) for s in labels)
     if len(labels) != n_u + n_b:
         raise StructureError(f"{len(labels)} labels for {n_u + n_b} series")
-    if len(set(labels)) != len(labels):
-        raise StructureError("duplicate series labels")
+    seen: set[str] = set()
+    for label in labels:
+        if label in seen:
+            raise StructureError(f"duplicate series label {label!r}")
+        seen.add(label)
     return CrossSectionalStructure(agg=agg, labels=labels)
 
 

@@ -10,13 +10,16 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
 import warnings
 from contextlib import contextmanager
+from contextvars import ContextVar
 from io import StringIO
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,22 +56,75 @@ def _csv_rows(path, lines):
         raise ValidationError(f"{path}:{reader.line_num}: {exc}")
 
 
+# The finished outputs of the command in progress, as (temporary, target)
+# pairs that committing() moves into place together; None outside it.
+_PENDING: ContextVar[list | None] = ContextVar("ctrec_pending_outputs", default=None)
+
+
+def _unwritable(path, exc: Exception) -> ValidationError:
+    reason = getattr(exc, "strerror", None) or exc
+    return ValidationError(f"cannot write {path}: {reason}")
+
+
 @contextmanager
 def open_output(path):
     """Open an output file for writing, creating its directory; a path that
-    cannot be created or written raises ValidationError naming it."""
+    cannot be created or written raises ValidationError naming it.
+
+    The text goes to a hidden temporary beside the target,
+    ``.<name>.<pid>.tmp``. Once it is closed, the temporary replaces the
+    target, or inside ``committing()`` waits for the command to end. It is
+    removed on any failure, so the target never holds a partial file.
+    """
     path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "w", newline="")
+        fh = open(temp, "w", newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ValidationError(f"cannot write {path}: {reason}")
+        raise _unwritable(path, exc)
     try:
         with fh:
             yield fh
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}")
+        pending = _PENDING.get()
+        if pending is None:
+            _move_into_place([(temp, path)])
+        else:
+            pending.append((temp, path))
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _unwritable(path, exc)
+        raise
+
+
+def _move_into_place(outputs: list[tuple[Path, Path]]) -> None:
+    """Replace each target by its temporary, once no target is a directory."""
+    for _, path in outputs:
+        if path.is_dir():
+            raise ValidationError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    for temp, path in outputs:
+        try:
+            os.replace(temp, path)
+        except OSError as exc:
+            raise _unwritable(path, exc)
+
+
+@contextmanager
+def committing():
+    """Hold back every output that ``open_output`` finishes inside this
+    block. When the block ends without an exception, move them all into
+    place together; on an exception, or when a target is a directory,
+    remove them all and leave every target as it was."""
+    pending: list[tuple[Path, Path]] = []
+    token = _PENDING.set(pending)
+    try:
+        yield
+        _move_into_place(pending)
+    finally:
+        _PENDING.reset(token)
+        for temp, _ in pending:  # a temporary moved into place is gone already
+            temp.unlink(missing_ok=True)
 
 
 def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -119,7 +175,8 @@ def read_hierarchy_file(path) -> tuple[np.ndarray, list[str], list[int]]:
     the named bottoms (repeating a name increments its weight). Alternately
     a single ``matrix = weights.csv`` line (path relative to this file)
     loads an explicit weight matrix: header row names the bottom series,
-    first column names the uppers. Bottom order is first appearance.
+    first column names the uppers. Bottom order is first appearance. A key
+    given twice is an error naming the line that repeats it.
 
     Returns (aggregation weights, labels uppers-then-bottoms, orders).
     """
@@ -127,6 +184,7 @@ def read_hierarchy_file(path) -> tuple[np.ndarray, list[str], list[int]]:
     orders: list[int] | None = None
     agg_rows: list[tuple[str, list[str]]] = []
     matrix_path: Path | None = None
+    keys: set[str] = set()
     with open_input(path) as fh:
         text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -136,6 +194,9 @@ def read_hierarchy_file(path) -> tuple[np.ndarray, list[str], list[int]]:
         if "=" in line and ":" not in line.split("=", 1)[0]:
             key, _, value = line.partition("=")
             key = key.strip().lower()
+            if key in keys:
+                raise ValidationError(f"{path}:{lineno}: repeated key {key!r}")
+            keys.add(key)
             if key == "orders":
                 try:
                     orders = [int(tok) for tok in value.replace(",", " ").split()]
@@ -457,29 +518,60 @@ def read_levels_csv(path, ct: CrossTemporalStructure) -> tuple[str, ...]:
 # -- reports -------------------------------------------------------------------
 
 
+# The fields of a reports.jsonl record: name -> (JSON type, when it is
+# written, its value in a report). report_dict writes a record from this
+# table, and read_reports_jsonl checks each record against it.
+REPORT_FIELDS: dict[str, tuple[str, str, Callable[[ReconcileReport], object]]] = {
+    "origin": ("str", "always", lambda r: r.block.origin_id),
+    "method": ("str", "always", lambda r: r.method),
+    "covariance": ("str", "always", lambda r: r.covariance),
+    "iterations": ("int", "always", lambda r: r.iterations),
+    "converged": ("bool", "always", lambda r: r.converged),
+    "trace": ("list of numbers", "always", lambda r: [float(g) for g in r.trace]),
+    "coherence": ("{cs, te} numbers", "always",
+                  lambda r: {"cs": r.coherence[0], "te": r.coherence[1]}),
+    "flags": ("list of str", "always", lambda r: list(r.flags)),
+    "delta": ("number", "ite-*", lambda r: r.delta),
+    "elapsed": ("number", "--timings", lambda r: r.elapsed),
+    "peak_mem": ("int", "--memory", lambda r: r.peak_mem),
+}
+
+
+def _number(value) -> bool:
+    """A JSON number: an integer or a float, NaN included; never a bool."""
+    return type(value) in (int, float)
+
+
+_JSON_TYPES: dict[str, Callable[[object], bool]] = {
+    "str": lambda v: type(v) is str,
+    "int": lambda v: type(v) is int,
+    "bool": lambda v: type(v) is bool,
+    "number": _number,
+    "list of numbers": lambda v: type(v) is list and all(map(_number, v)),
+    "list of str": lambda v: type(v) is list and all(type(s) is str for s in v),
+    "{cs, te} numbers":
+        lambda v: type(v) is dict and _number(v.get("cs")) and _number(v.get("te")),
+}
+
+
 def report_dict(
     report: ReconcileReport, timings: bool = False, memory: bool = False
 ) -> dict:
-    """JSON-ready view of a report. The wall time (``timings``) and peak
-    memory (``memory``) fields are opt-in so equal configurations produce
-    byte-identical streams."""
-    out = {
-        "origin": report.block.origin_id,
-        "method": report.method,
-        "covariance": report.covariance,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "trace": [float(g) for g in report.trace],
-        "coherence": {"cs": report.coherence[0], "te": report.coherence[1]},
-        "flags": list(report.flags),
+    """JSON-ready view of a report, one entry per field of REPORT_FIELDS
+    that is written. ``delta`` is written for the alternating methods only.
+    The wall time (``timings``) and peak memory (``memory``) fields are
+    opt-in so equal configurations produce byte-identical streams."""
+    written = {
+        "always": True,
+        "ite-*": report.delta is not None,
+        "--timings": timings,
+        "--memory": memory,
     }
-    if report.delta is not None:
-        out["delta"] = report.delta
-    if timings:
-        out["elapsed"] = report.elapsed
-    if memory:
-        out["peak_mem"] = report.peak_mem
-    return out
+    return {
+        name: value(report)
+        for name, (_, when, value) in REPORT_FIELDS.items()
+        if written[when]
+    }
 
 
 def write_reports_jsonl(
@@ -495,6 +587,10 @@ def write_reports_jsonl(
 
 
 def read_reports_jsonl(path) -> list[dict]:
+    """The records of a reports.jsonl stream. Each is an object with a
+    ``method``; every field of REPORT_FIELDS that it has is of the field's
+    type, and other keys are ignored. The first faulty line raises
+    ValidationError as ``file:line``."""
     records = []
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -502,10 +598,13 @@ def read_reports_jsonl(path) -> list[dict]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
                 raise ValidationError(f"{path}:{lineno}: not valid JSON: {exc}")
             if not isinstance(record, dict) or "method" not in record:
                 raise ValidationError(f"{path}:{lineno}: expected a report object")
+            for name, (kind, _, _) in REPORT_FIELDS.items():
+                if name in record and not _JSON_TYPES[kind](record[name]):
+                    raise ValidationError(f"{path}:{lineno}: field {name}: expected {kind}")
             records.append(record)
     return records
 

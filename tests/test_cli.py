@@ -331,6 +331,88 @@ def test_an_unusable_output_path_exits_2_naming_it(workdir, capsys, command, cas
     assert "Traceback" not in err
 
 
+def test_a_failed_command_keeps_earlier_outputs_and_adds_no_file(
+    workdir, capsys, monkeypatch
+):
+    sim = simulate(workdir)
+    reconcile_args = ["reconcile", "--hierarchy", workdir / "hier.txt",
+                      "--input", sim / "base.csv"]
+    kept, empty = workdir / "kept", workdir / "empty"
+    (kept / "reports.jsonl").mkdir(parents=True)
+    (kept / "reconciled.csv").write_bytes(b"earlier\n")
+    (empty / "reports.jsonl").mkdir(parents=True)
+    for out in (kept, empty):
+        assert run([*reconcile_args, "--out", out]) == 2
+        assert f"cannot write {out / 'reports.jsonl'}: " in capsys.readouterr().err
+    assert (kept / "reconciled.csv").read_bytes() == b"earlier\n"
+    assert sorted(p.name for p in kept.iterdir()) == ["reconciled.csv", "reports.jsonl"]
+    assert [p.name for p in empty.iterdir()] == ["reports.jsonl"]
+    # evaluate reads --reports with its other inputs, before any table
+    monkeypatch.setattr(ctrec.cli, "nrmse_table", lambda *a, **k: pytest.fail("computed"))
+    reports = workdir / "bad.jsonl"
+    reports.write_text('{"method": "oct", "trace": 5}\n')
+    evald = workdir / "eval-bad-report"
+    code = run(
+        ["evaluate", "--hierarchy", workdir / "hier.txt", "--actuals", sim / "actuals.csv",
+         "--candidate", f"base={sim / 'base.csv'}", "--reports", reports, "--out", evald]
+    )
+    assert code == 2
+    assert "bad.jsonl:1: field trace: expected list of numbers" in capsys.readouterr().err
+    assert not evald.exists()
+
+
+@pytest.mark.parametrize("method", ctrec.cli.METHODS)
+def test_every_method_writes_reports_the_reader_accepts(workdir, method):
+    sim = simulate(workdir, reps=1)
+    args = [
+        "reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+        "--method", method, "--cov", "wlsv", "--residuals", sim / "residuals.csv",
+        "--history", sim / "history.csv",
+    ]
+    flag_sets = [(), ("--timings", "--memory")]
+    if all(reconcile.COHERENCE_PROFILE.get(method, (True, True))):
+        flag_sets.append(("--sntz", "--timings"))
+    for flags in flag_sets:
+        out = workdir / ("out" + "".join(flags))
+        assert run([*args, *flags, "--out", out]) == 0
+        (record,) = read_reports_jsonl(out / "reports.jsonl")
+        assert ("delta" in record) == method.startswith("ite-")
+        assert ("elapsed" in record) == ("--timings" in flags)
+        assert ("peak_mem" in record) == ("--memory" in flags)
+
+
+@pytest.mark.parametrize(
+    "spec, line",
+    [
+        ("orders = 2,1\nt: a, b\norders = 4,2,1\n", 3),
+        ("orders = 2,1\nmatrix = w.csv\n# again\nmatrix = w.csv\n", 4),
+    ],
+    ids=["orders", "matrix"],
+)
+def test_a_key_repeated_in_a_hierarchy_spec_exits_2_naming_its_line(
+    workdir, capsys, spec, line
+):
+    # the last value used to win silently
+    (workdir / "w.csv").write_text("series,a,b\nt,1,1\n")
+    (workdir / "twice.txt").write_text(spec)
+    out = workdir / "sim-twice"
+    assert run(["simulate", "--hierarchy", workdir / "twice.txt", "--out", out]) == 2
+    assert f"twice.txt:{line}: repeated key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_structure_faults_name_their_source(workdir, capsys):
+    (workdir / "dup.txt").write_text("orders = 2,1\nt: a, b\nt: b\n")
+    out = workdir / "s"
+    assert run(["simulate", "--hierarchy", workdir / "dup.txt", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {workdir / 'dup.txt'}: duplicate series label 't'" in err
+    for args in (["simulate", "--hierarchy", workdir / "hier.txt"], ["bench"]):
+        assert run([*args, "--orders", "0", "--out", out]) == 2
+        assert "error: --orders: orders must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconcile_non_convergence_exit_code_and_outputs(workdir):
     sim = simulate(workdir)
     out = workdir / "out-nc"

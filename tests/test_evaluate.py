@@ -14,6 +14,7 @@ from ctrec.evaluate import (
     nrmse_table,
     perf_summary,
 )
+from ctrec.io import report_dict
 from ctrec.reconcile import ForecastBlock
 from helpers import random_structure, run_method, toy_ct
 
@@ -296,7 +297,8 @@ def _fake_report(method, elapsed, mem):
 
 
 def test_perf_summary_single_method_passthrough():
-    rows = perf_summary([_fake_report("oct", 1.0, 100)])
+    report = _fake_report("oct", 1.0, 100)
+    rows = perf_summary([report_dict(report, timings=True, memory=True)])
     assert len(rows) == 1
     assert rows[0].method == "oct"
     assert rows[0].elapsed_median == 1.0
@@ -307,14 +309,16 @@ def test_perf_summary_orders_preserved():
     reports = [_fake_report("fast", 0.1, 10) for _ in range(5)] + [
         _fake_report("slow", 0.9, 90) for _ in range(5)
     ]
-    rows = {r.method: r for r in perf_summary(reports)}
+    rows = {r.method: r for r in perf_summary(
+        report_dict(r, timings=True, memory=True) for r in reports
+    )}
     assert rows["fast"].elapsed_median < rows["slow"].elapsed_median
     assert rows["fast"].mem_median < rows["slow"].mem_median
 
 
 def test_perf_summary_replication_shape_smoke():
     reports = [_fake_report("oct", 0.1 + 0.001 * i, 50 + i) for i in range(350)]
-    rows = perf_summary(reports)
+    rows = perf_summary(report_dict(r, timings=True, memory=True) for r in reports)
     assert rows[0].runs == 350
     lo, hi = rows[0].elapsed_iqr
     assert lo <= rows[0].elapsed_median <= hi

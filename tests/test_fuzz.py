@@ -7,6 +7,7 @@ Examples are derandomized so the suite stays deterministic.
 
 import csv
 import io
+import json
 from io import StringIO
 from typing import Iterable, Mapping, Sequence
 from unittest import mock
@@ -18,18 +19,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ctrec.io
+from ctrec.covariance import sigma_ols
 from ctrec.errors import ValidationError
 from ctrec.evaluate import NemenyiResult, NrmseTable, PerfRow
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.io import (
+    REPORT_FIELDS,
     open_input,
     position_labels,
     read_blocks_csv,
     read_hierarchy_file,
     read_history_csv,
+    read_reports_jsonl,
     read_residuals_csv,
+    report_dict,
 )
-from ctrec.reconcile import ForecastBlock
+from ctrec.reconcile import ForecastBlock, prepare
 
 FUZZ = settings(
     derandomize=True,
@@ -440,6 +445,69 @@ def test_arbitrary_bytes_parse_or_raise_validation_error(scratch, data):
         read_hierarchy_file(path)
     except ValidationError:
         pass
+
+
+def _has_type(kind: str, value) -> bool:
+    """The report reader's oracle: ``value`` is of the JSON type ``kind``.
+    A bool is never an integer or a number; NaN is a number."""
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    return {
+        "str": isinstance(value, str),
+        "int": number(value) and isinstance(value, int),
+        "bool": isinstance(value, bool),
+        "number": number(value),
+        "list of numbers": isinstance(value, list) and all(map(number, value)),
+        "list of str": isinstance(value, list) and all(isinstance(v, str) for v in value),
+        "{cs, te} numbers": isinstance(value, dict)
+        and number(value.get("cs")) and number(value.get("te")),
+    }[kind]
+
+
+# every field written: an alternating run with timings and memory
+FULL_REPORT = report_dict(
+    prepare("ite-tcs", CT, sigma_ols(CT), measure_memory=True)(
+        ForecastBlock(np.arange(9.0).reshape(3, 3), CT)
+    ),
+    timings=True,
+    memory=True,
+)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["cs", "te", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def test_the_full_report_has_every_field_and_reads_back(scratch):
+    assert set(FULL_REPORT) == set(REPORT_FIELDS)
+    path = scratch / "reports.jsonl"
+    path.write_text(json.dumps(FULL_REPORT) + "\n")
+    assert read_reports_jsonl(path) == [FULL_REPORT]
+
+
+@FUZZ
+@given(field=st.sampled_from(sorted(REPORT_FIELDS)), value=JSON_VALUE)
+@example(field="iterations", value=1.0)
+@example(field="peak_mem", value=True)
+@example(field="elapsed", value=False)
+@example(field="trace", value=[1, True])
+@example(field="flags", value=["a", 1])
+@example(field="coherence", value={"cs": 0.0, "te": None})
+@example(field="delta", value=float("nan"))
+def test_report_reader_accepts_a_field_exactly_when_it_has_its_type(scratch, field, value):
+    path = scratch / "reports.jsonl"
+    path.write_text(json.dumps({**FULL_REPORT, field: value}) + "\n")
+    kind = REPORT_FIELDS[field][0]
+    if _has_type(kind, value):
+        (record,) = read_reports_jsonl(path)
+        assert json.dumps(record[field]) == json.dumps(value)
+    else:
+        with pytest.raises(ValidationError, match=f"reports.jsonl:1: field {field}: "):
+            read_reports_jsonl(path)
 
 
 # The csv.writer writers that the one CSV writer replaced, kept verbatim as

@@ -14,6 +14,7 @@ from ctrec.errors import ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.io import (
     _write_csv,
+    committing,
     open_output,
     position_labels,
     read_blocks_csv,
@@ -279,6 +280,58 @@ def test_open_output_creates_directories_and_names_a_path_it_cannot_write(tmp_pa
             raise OSError(errno.ENOSPC, "No space left on device")
 
 
+def test_a_failed_write_leaves_the_target_as_it_was_and_no_temporary(tmp_path):
+    def rows():
+        yield ["a", 1.0]
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"previous\n")
+    for path in (old, tmp_path / "new.csv"):
+        message = f"cannot write {re.escape(str(path))}: No space"
+        with pytest.raises(ValidationError, match=message):
+            _write_csv(path, ["name", "value"], rows())
+    # any other failure is re-raised as it is, and also leaves nothing behind
+    with pytest.raises(KeyError):
+        with open_output(old) as fh:
+            fh.write("partial")
+            raise KeyError("boom")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+    assert old.read_bytes() == b"previous\n"
+
+
+def test_committing_moves_every_output_into_place_together(tmp_path):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text("old")
+    with committing():
+        for path in (first, second):
+            with open_output(path) as fh:
+                fh.write("new")
+        assert first.read_text() == "old" and not second.exists()
+        assert len(list(tmp_path.glob(".*.tmp"))) == 2
+    assert first.read_text() == second.read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt", "second.txt"]
+    # an exception, or a target that is a directory, moves none of them
+    second.unlink()
+    with pytest.raises(RuntimeError):
+        with committing():
+            with open_output(first) as fh:
+                fh.write("newer")
+            raise RuntimeError
+    second.mkdir()
+    with pytest.raises(ValidationError, match=f"cannot write {re.escape(str(second))}: "):
+        with committing():
+            for path in (first, second):
+                with open_output(path) as fh:
+                    fh.write("newer")
+    assert first.read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt", "second.txt"]
+    # outside a commit an output moves into place as soon as it is closed
+    with open_output(first) as fh:
+        fh.write("newest")
+    assert first.read_text() == "newest"
+
+
 def test_blocks_csv_with_every_value_blank_names_the_first_line(tmp_path):
     # one position per series: every value text is empty, and numpy would
     # only warn that the input holds no data
@@ -346,6 +399,49 @@ def test_reports_jsonl_rejects_a_non_json_line_naming_it(tmp_path):
         read_reports_jsonl(path)
     path.write_text('{"method": "oct"}\n[1, 2]\n')
     with pytest.raises(ValidationError, match=r"reports\.jsonl:2: expected a report"):
+        read_reports_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "record, field, kind",
+    [
+        ('{"method": "x", "trace": ["abc"]}', "trace", "list of numbers"),
+        ('{"method": "x", "trace": 5}', "trace", "list of numbers"),
+        ('{"method": "x", "elapsed": "slow"}', "elapsed", "number"),
+        ('{"method": "x", "delta": "a"}', "delta", "number"),
+        ('{"method": 3}', "method", "str"),
+        ('{"method": "x", "peak_mem": [1]}', "peak_mem", "int"),
+        ('{"method": "x", "iterations": true}', "iterations", "int"),
+        ('{"method": "x", "coherence": {"cs": 0.0}}', "coherence", "{cs, te} numbers"),
+    ],
+)
+def test_reports_jsonl_rejects_a_field_of_the_wrong_type_naming_it(
+    tmp_path, record, field, kind
+):
+    path = tmp_path / "reports.jsonl"
+    path.write_text('{"method": "oct"}\n' + record + "\n")
+    with pytest.raises(
+        ValidationError,
+        match=re.escape(f"reports.jsonl:2: field {field}: expected {kind}"),
+    ):
+        read_reports_jsonl(path)
+
+
+def test_reports_jsonl_reads_nan_integers_as_numbers_and_ignores_unknown_keys(tmp_path):
+    path = tmp_path / "reports.jsonl"
+    path.write_text(
+        '{"method": "x", "trace": [NaN, 1, 2.5], "delta": 1, "elapsed": 0,'
+        ' "coherence": {"cs": 0, "te": -Infinity}, "extra": [null]}\n'
+    )
+    (record,) = read_reports_jsonl(path)
+    assert np.isnan(record["trace"][0]) and record["extra"] == [None]
+
+
+def test_reports_jsonl_rejects_a_line_nested_too_deeply_naming_it(tmp_path):
+    # json.loads raises RecursionError, which used to end in a traceback
+    path = tmp_path / "reports.jsonl"
+    path.write_text('{"method": "oct"}\n' + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(ValidationError, match=r"reports\.jsonl:2: not valid JSON: "):
         read_reports_jsonl(path)
 
 
