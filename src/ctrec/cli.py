@@ -2,8 +2,9 @@
 experiments, evaluate candidates, verify the equivalence/convergence
 results, and benchmark methods.
 
-Exit codes: 0 success; 2 invalid inputs; 3 numerical failure;
-4 non-convergence (outputs are still written).
+Each command returns its exit code and the summary to print once its
+outputs are in place. Exit codes: 0 success; 2 invalid inputs;
+3 numerical failure; 4 non-convergence (outputs are still written).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .reconcile import (
     METHODS as RECONCILE_METHODS,
     ForecastBlock,
     ReconcileReport,
+    _Meter,
     baseline_bu,
     baseline_pers_bu,
     prepare,
@@ -82,25 +84,27 @@ def _strategy(args: argparse.Namespace, ct: CrossTemporalStructure, residuals, h
             measure_memory=args.memory,
         )
     else:
-        reconcile = _baseline(method, ct, histories)
+        reconcile = _baseline(method, ct, histories, args.memory)
 
     if not args.sntz:
         return reconcile
     return lambda block: sntz(reconcile(block))
 
 
-def _baseline(method: str, ct: CrossTemporalStructure, histories):
-    """The bu / pers-bu baselines as a per-origin callable."""
+def _baseline(method: str, ct: CrossTemporalStructure, histories, memory: bool):
+    """The bu / pers-bu baselines as a per-origin callable, timed (and with
+    ``memory``, traced) as ``prepare`` times a reconciling method."""
 
     def run(block: ForecastBlock) -> ReconcileReport:
-        if method == "bu":
-            out = baseline_bu(block)
-        elif histories is None or block.origin_id not in histories:
+        if method == "pers-bu" and (histories is None or block.origin_id not in histories):
             raise ValidationError(
                 f"pers-bu needs --history covering origin {block.origin_id}"
             )
-        else:
-            out = baseline_pers_bu(histories[block.origin_id], ct, block.origin_id)
+        with _Meter(memory) as meter:
+            if method == "bu":
+                out = baseline_bu(block)
+            else:
+                out = baseline_pers_bu(histories[block.origin_id], ct, block.origin_id)
         return ReconcileReport(
             block=out,
             method=method,
@@ -108,14 +112,14 @@ def _baseline(method: str, ct: CrossTemporalStructure, histories):
             iterations=1,
             trace=(0.0,),
             coherence=ct.coherence_residuals(out.values),
-            elapsed=0.0,
-            peak_mem=0,
+            elapsed=meter.elapsed,
+            peak_mem=meter.peak,
         )
 
     return run
 
 
-def cmd_reconcile(args: argparse.Namespace) -> int:
+def cmd_reconcile(args: argparse.Namespace) -> tuple[int, str]:
     if args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     if args.sntz and not all(COHERENCE_PROFILE.get(args.method, (True, True))):
@@ -132,13 +136,11 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
     io.write_reports_jsonl(
         args.out / "reports.jsonl", reports, timings=args.timings, memory=args.memory
     )
-    print(f"reconciled {len(reports)} origins -> {args.out}")
-    if any("non-converged" in r.flags for r in reports):
-        return EXIT_NON_CONVERGENCE
-    return EXIT_OK
+    code = EXIT_NON_CONVERGENCE if any("non-converged" in r.flags for r in reports) else EXIT_OK
+    return code, f"reconciled {len(reports)} origins -> {args.out}"
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     ct = _load_structure(args)
     data = simulate_dataset(
         ct,
@@ -154,11 +156,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         io.write_residuals_csv(out / "residuals.csv", data.residuals, ct)
     io.write_history_csv(out / "history.csv", data.histories, ct)
     io.write_hierarchy_file(out / "hierarchy.txt", ct)
-    print(f"simulated {args.reps} origins -> {out}")
-    return EXIT_OK
+    return EXIT_OK, f"simulated {args.reps} origins -> {out}"
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
     ct = _load_structure(args)
     actuals = io.read_blocks_csv(args.actuals, ct)
     candidates = {}
@@ -186,17 +187,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         io.write_trace_csv(out / "trace.csv", rows)
         if any("elapsed" in record or "peak_mem" in record for record in records):
             io.write_perf_csv(out / "perf.csv", perf_summary(records))
-    print(f"evaluation tables -> {out}")
-    return EXIT_OK
+    return EXIT_OK, f"evaluation tables -> {out}"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     from .verify import run_all  # ctrec.reference and scipy load only here
 
     results = run_all(seed=args.seed, instances=args.instances)
-    for result in results:
-        print(result.line())
-    return EXIT_OK if all(r.passed for r in results) else 1
+    code = EXIT_OK if all(r.passed for r in results) else 1
+    return code, "\n".join(result.line() for result in results)
 
 
 def _names(text: str, option: str) -> list[str]:
@@ -207,7 +206,7 @@ def _names(text: str, option: str) -> list[str]:
     return names
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
     """Timing/memory comparison on a synthetic instance (default: the
     324-series hourly shape), one line per method x covariance."""
     methods = _names(args.methods, "--methods")
@@ -230,13 +229,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = perf_summary(records)
     io.write_perf_csv(args.out / "perf.csv", rows)
     width = max(len(r.method) for r in rows)
-    for row in sorted(rows, key=lambda r: r.elapsed_median):
-        print(
-            f"{row.method:<{width}}  median {row.elapsed_median * 1e3:9.2f} ms   "
-            f"peak {row.mem_median / 1e6:8.2f} MB   ({row.runs} runs)"
-        )
-    print(f"perf table -> {args.out / 'perf.csv'}")
-    return EXIT_OK
+    lines = [
+        f"{row.method:<{width}}  median {row.elapsed_median * 1e3:9.2f} ms   "
+        f"peak {row.mem_median / 1e6:8.2f} MB   ({row.runs} runs)"
+        for row in sorted(rows, key=lambda r: r.elapsed_median)
+    ]
+    return EXIT_OK, "\n".join([*lines, f"perf table -> {args.out / 'perf.csv'}"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,17 +330,20 @@ def _orders(text: str | None) -> TemporalStructure | None:
 
 def main(argv=None) -> int:
     """Run one command. Its outputs move into place together when it
-    returns; a command that raises leaves every earlier output as it was."""
+    returns, and only then is its summary printed; a command that raises
+    leaves every earlier output as it was and prints no summary."""
     args = build_parser().parse_args(argv)
     try:
         with io.committing():
-            return args.run(args)
+            code, summary = args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ReconciliationError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    print(summary)
+    return code
 
 
 if __name__ == "__main__":

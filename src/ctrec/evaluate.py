@@ -77,9 +77,25 @@ class EvalFrame:
         return int(series)
 
 
-def _pool(frame: EvalFrame, blocks, series: int, order: int) -> np.ndarray:
+def _stack(frame: EvalFrame, blocks, order: int) -> np.ndarray:
+    """The order-k cells of ``blocks`` as one (series, origins, width) array:
+    row i, flattened, pools series i's cells origin-major."""
     cols = frame.structure.te.order_slice(order)
-    return np.concatenate([b.values[series, cols] for b in blocks])
+    return np.stack([b.values[:, cols] for b in blocks], axis=1)
+
+
+def _nrmse(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray:
+    """nRMSE of every series from (series, origins, width) stacks of one
+    order; NaN where the pooled mean actual is zero. Each series' pool is
+    one contiguous row, so each mean is the 1-d pool's ``np.mean``."""
+    n = len(actual)
+    denom = actual.reshape(n, -1).mean(axis=1)
+    error = forecast - actual
+    np.square(error, out=error)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = 100.0 * np.sqrt(error.reshape(n, -1).mean(axis=1)) / denom
+    cells[denom == 0] = np.nan
+    return cells
 
 
 def nrmse(frame: EvalFrame, series, order: int, candidate: str) -> float:
@@ -91,12 +107,8 @@ def nrmse(frame: EvalFrame, series, order: int, candidate: str) -> float:
     i = frame.series_index(series)
     if candidate not in frame.candidates:
         raise ValidationError(f"unknown candidate {candidate!r}")
-    actual = _pool(frame, frame.actuals, i, order)
-    forecast = _pool(frame, frame.candidates[candidate], i, order)
-    denom = actual.mean()
-    if denom == 0:
-        return float("nan")
-    return float(100.0 * np.sqrt(np.mean((forecast - actual) ** 2)) / denom)
+    actual = _stack(frame, frame.actuals, order)
+    return float(_nrmse(actual, _stack(frame, frame.candidates[candidate], order))[i])
 
 
 @dataclass(frozen=True)
@@ -124,37 +136,26 @@ def nrmse_table(frame: EvalFrame, baseline: str | None = None) -> NrmseTable:
     cells excluded), for every candidate and aggregation order."""
     if baseline is not None and baseline not in frame.candidates:
         raise ValidationError(f"baseline {baseline!r} is not a candidate")
-    ct = frame.structure
     levels = frame.level_names()
-    orders = ct.te.orders
+    orders = frame.structure.te.orders
     names = tuple(frame.candidates)
+    members = {lv: [i for i, lab in enumerate(frame.levels) if lab == lv] for lv in levels}
     values: dict[tuple[str, str, int], float] = {}
-    for level in levels:
-        members = [i for i, lab in enumerate(frame.levels) if lab == level]
+    for k in orders:
+        actual = _stack(frame, frame.actuals, k)
         for candidate in names:
-            for k in orders:
-                cells = [nrmse(frame, i, k, candidate) for i in members]
-                arr = np.asarray(cells, dtype=float)
+            cells = _nrmse(actual, _stack(frame, frame.candidates[candidate], k))
+            for level in levels:
+                arr = cells[members[level]]
                 values[(level, candidate, k)] = (
                     float(np.nanmean(arr)) if np.any(np.isfinite(arr)) else float("nan")
                 )
-    flagged = set()
-    if baseline is not None:
-        for level in levels:
-            for candidate in names:
-                if candidate == baseline:
-                    continue
-                for k in orders:
-                    if values[(level, candidate, k)] > values[(level, baseline, k)]:
-                        flagged.add((level, candidate, k))
-    return NrmseTable(
-        levels=tuple(levels),
-        orders=orders,
-        candidates=names,
-        values=values,
-        baseline=baseline,
-        flagged=frozenset(flagged),
-    )
+    flagged = {
+        (level, candidate, k)
+        for (level, candidate, k), v in values.items()
+        if baseline not in (None, candidate) and v > values[(level, baseline, k)]
+    }
+    return NrmseTable(tuple(levels), orders, names, values, baseline, frozenset(flagged))
 
 
 def frobenius_trace(
@@ -225,26 +226,17 @@ def mcb_nemenyi(
     names = list(frame.candidates)
     if len(names) < 2:
         raise ValidationError("the comparison needs at least two candidates")
-    ct = frame.structure
-    cols = ct.te.order_slice(order)
-    if levels is None:
-        members = range(ct.n_series)
-    else:
-        wanted = set(levels)
-        members = [i for i, lab in enumerate(frame.levels) if lab in wanted]
-    rows = []
-    for i in members:
-        for o, actual in enumerate(frame.actuals):
-            target = actual.values[i, cols]
-            row = [
-                float(np.mean(np.abs(frame.candidates[c][o].values[i, cols] - target)))
-                for c in names
-            ]
-            if np.all(np.isfinite(row)):
-                rows.append(row)
-    if len(rows) < 2:
+    wanted = set(frame.levels if levels is None else levels)
+    members = np.array([lab in wanted for lab in frame.levels])
+    actual = _stack(frame, frame.actuals, order)
+    # one case per (series, origin), series-major
+    errors = np.column_stack([
+        np.abs(_stack(frame, frame.candidates[c], order) - actual).mean(axis=2)[members].ravel()
+        for c in names
+    ])
+    errors = errors[np.isfinite(errors).all(axis=1)]
+    if len(errors) < 2:
         raise ValidationError("the comparison needs at least two cases")
-    errors = np.asarray(rows)
     ranks = rankdata(errors, method="average", axis=1)
     mean_ranks = dict(zip(names, ranks.mean(axis=0)))
     n_cases, j = errors.shape

@@ -167,6 +167,28 @@ def test_reconcile_pers_bu_and_sntz(workdir):
     assert all("sntz" in r["flags"] for r in records)
 
 
+@pytest.mark.parametrize("method", ["bu", "pers-bu"])
+def test_baselines_report_their_time_and_memory(workdir, method):
+    # both fields used to be written as 0 for the two baselines
+    sim = simulate(workdir)
+    out = workdir / f"timed-{method}"
+    assert run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", method, "--history", sim / "history.csv", "--timings", "--memory",
+         "--out", out]
+    ) == 0
+    records = read_reports_jsonl(out / "reports.jsonl")
+    assert all(r["elapsed"] > 0 and r["peak_mem"] > 0 for r in records)
+    bench = workdir / f"bench-{method}"
+    assert run(
+        ["bench", "--hierarchy", workdir / "hier.txt", "--reps", 2, "--methods", method,
+         "--covs", "ols", "--out", bench]
+    ) == 0
+    header, row = (bench / "perf.csv").read_text().splitlines()
+    perf = dict(zip(header.split(","), row.split(",")))
+    assert float(perf["elapsed_median"]) > 0 and float(perf["mem_median"]) > 0
+
+
 @pytest.mark.parametrize("method", ["cs", "te", "seq-cst", "seq-tcs"])
 def test_reconcile_refuses_sntz_after_a_partly_coherent_method(workdir, capsys, method):
     # sntz rebuilds every level from the finest bottom values, so after a
@@ -326,9 +348,11 @@ def test_an_unusable_output_path_exits_2_naming_it(workdir, capsys, command, cas
         out = workdir / "bad\0dir"
     capsys.readouterr()
     assert run([*args, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out / first}: ")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out / first}: ")
+    assert "Traceback" not in captured.err
+    # no summary line either, also when the commit fails (file-is-a-dir)
+    assert captured.out == ""
 
 
 def test_a_failed_command_keeps_earlier_outputs_and_adds_no_file(
