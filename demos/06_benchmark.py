@@ -8,12 +8,12 @@ origins is therefore the warm per-origin cost; the first origin carries
 the preparation. Warm, the one-shot solve is the cheapest. Once per batch
 it factors 324 temporal Grams of 24 × 24 and one cross-sectional Schur
 system of 144 rows, instead of an 11 808-row sparse constraint Gram; each
-origin then costs a few batched matrix products. Measured by hand on a
-2-core machine without memory tracing, `oct[wlsv]` prepares in ~30–60 ms
-and applies in ~0.4 ms per warm origin (the sparse LU took ~110 ms and
-~2.3 ms). The alternating heuristic costs one pair of batched
-uni-dimensional projections per cycle: one cycle under weights that make
-it collapse, a few under variance-scaled ones. Expect a few seconds.
+origin then costs a few batched matrix products. The alternating heuristic
+costs one pair of batched uni-dimensional projections per cycle: one cycle
+under weights that make it collapse, a few under variance-scaled ones. On
+a 2-vCPU host the demo runs in under a second and prints medians of
+0.5–0.7 ms for `oct`, 0.7–2 ms for `ka-tcs[wlsv]` and `ite-tcs` (1 and 2
+cycles), and traced peaks of 0.3–0.7 MB.
 """
 
 from dataclasses import replace

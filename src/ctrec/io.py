@@ -35,7 +35,7 @@ def open_input(path):
     """Open an input file for reading; a missing, unreadable or undecodable
     file raises ValidationError naming it."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         reason = getattr(exc, "strerror", None) or exc
         raise ValidationError(f"cannot read {path}: {reason}")
@@ -80,7 +80,7 @@ def open_output(path):
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(temp, "w", newline="")
+        fh = open(temp, "w", newline="", encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise _unwritable(path, exc)
     try:
@@ -329,17 +329,17 @@ def _split_rows(lines):
         yield row
 
 
-def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> list:
-    """(origin, table) pairs sorted by origin from a wide CSV with one row
-    per (origin, series); row i of a table holds series ``labels[i]``.
-
-    The header starts ``origin,series``; ``check_columns`` vets the rest of
-    it, and each row has one value per column. Blank lines are skipped. The
-    first faulty row is named as ``file:line``: a short row, a repeated
-    (origin, series), an unknown series, a wrong width or a bad number. An
-    origin missing a series is an error naming the file. Text with a quote
-    or a bare carriage return is split by the csv module; other text by
-    ``str.split``, which gives the same cells.
+def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> tuple[list, np.ndarray]:
+    """The sorted origins and an (origins, len(labels), width) array from a
+    wide CSV with one row per (origin, series), row i of each origin's table
+    holding series ``labels[i]``. The header starts ``origin,series``;
+    ``check_columns`` vets the rest of it. Blank lines are skipped. The first
+    faulty row is named as ``file:line``: a short row, a repeated (origin,
+    series), an unknown series, a cell over the csv module's size limit, a
+    wrong width or a bad number. An origin missing a series is an error
+    naming the file. The text is split once: by the csv module when it holds
+    a quote or a bare carriage return, otherwise by ``str.split``, which
+    gives the same cells.
     """
     with open_input(path) as fh:
         text = fh.read()
@@ -352,104 +352,104 @@ def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> list:
         lines = iter(lines)  # exhausted, it frees the lines
         header, rows = next(lines).removesuffix("\r").split(","), _split_rows(lines)
     else:
-        del lines  # the csv module splits the text itself
         rows = _csv_rows(path, StringIO(text, newline=""))
         header = next(rows, None)
+    del text  # only its split is read from here on
     if header is None or header[:2] != ["origin", "series"]:
         raise ValidationError(f"{path}: expected header origin,series,...")
     check_columns(header[2:])
     width = len(header) - 2
     index = {label: i for i, label in enumerate(labels)}
-    keys: dict[tuple[str, str], None] = {}  # in row order
-    values: list[str] = []
+    kept: dict[tuple[str, str], tuple[int, list[str]]] = {}  # key -> (line, row)
     fault = None
     for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) < 2:
             fault = "expected origin,series,values..."
-        elif (row[0], row[1]) in keys:
+        elif (row[0], row[1]) in kept:
             fault = f"duplicate row for origin {row[0]!r}, series {row[1]!r}"
         elif row[1] not in index:
             fault = f"unknown series {row[1]!r}"
         if fault:
             fault = f"{path}:{lineno}: {fault}"
             break
-        keys[row[0], row[1]] = None
-        values.append(row[2] if len(row) == 3 else "")
+        kept[row[0], row[1]] = lineno, row
     # a bad width or number on a row before a faulty key is reported first
-    numbers = _numbers(path, text, values if plain else None, len(keys), width)
+    numbers = _numbers(path, list(kept.values()), width, plain)
     if fault:
         raise ValidationError(fault)
-    origins = sorted({origin for origin, _ in keys})
-    if len(keys) < len(origins) * len(labels):  # an origin is missing a series
+    origins = sorted({origin for origin, _ in kept})
+    if len(kept) < len(origins) * len(labels):  # an origin is missing a series
         for origin in origins:
-            missing = set(labels) - {series for o, series in keys if o == origin}
+            missing = set(labels) - {series for o, series in kept if o == origin}
             if missing:
                 raise ValidationError(
                     f"{path}: origin {origin} is missing series {sorted(missing)[:5]}"
                 )
     slot = {origin: o for o, origin in enumerate(origins)}
     tables = np.empty((len(origins), len(labels), width))
-    tables[[slot[o] for o, _ in keys], [index[s] for _, s in keys]] = numbers
-    return list(zip(origins, tables))
+    tables[[slot[o] for o, _ in kept], [index[s] for _, s in kept]] = numbers
+    return origins, tables
 
 
-def _numbers(path, text: str, values, n_rows: int, width: int) -> np.ndarray:
-    """The numbers of the first ``n_rows`` data rows of ``text``, whose value
-    texts ``values`` holds (None after the csv module).
-
-    A number is what ``float`` accepts. One ``np.loadtxt`` call parses the
-    value texts. The cells are read again row by row, for their width and
-    with ``float``, when there are no value texts, when numpy rejects them
-    or skips a blank one, and when the text holds one of ``\\x1c``-``\\x1f``:
-    numpy reads those as blanks and float does not (they are, over every
-    code point, the only cells numpy accepts and float rejects).
-    """
-    if values and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+def _numbers(path, rows, width: int, plain: bool) -> np.ndarray:
+    """The numbers of ``rows``, (line number, row) pairs: the csv module's
+    cells, or in a plain file the two keys and the value text. A number is
+    what ``float`` accepts. One ``np.loadtxt`` call parses a plain file's
+    value texts; the rows are parsed with ``float``, in line order, when the
+    csv module split them, when numpy rejects the texts or skips a blank
+    one, and when they hold one of ``\\x1c``-``\\x1f``: blanks to numpy, not
+    to float (over every code point, the only cells numpy accepts and float
+    rejects)."""
+    if plain and not any(c in row[-1] for _, row in rows for c in "\x1c\x1d\x1e\x1f"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns when every line is blank
             try:
-                numbers = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
-                if numbers.shape == (n_rows, width):
+                texts = [row[2] if len(row) == 3 else "" for _, row in rows]
+                numbers = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+                if numbers.shape == (len(rows), width):
                     return numbers
             except (ValueError, UserWarning):
                 pass
-    rows = []
-    for lineno, row in enumerate(_csv_rows(path, StringIO(text, newline="")), start=1):
-        if len(rows) == n_rows:
-            break
-        if lineno == 1 or not row:
-            continue
+    limit, numbers = csv.field_size_limit(), []
+    for lineno, row in rows:
+        if plain:  # the csv module's cells, under its field size limit
+            row = ",".join(row).removesuffix("\r").split(",")
+            if max(map(len, row)) > limit:
+                raise ValidationError(
+                    f"{path}:{lineno}: field larger than field limit ({limit})"
+                )
         if len(row) != width + 2:
             raise ValidationError(
                 f"{path}:{lineno}: series {row[1]!r} has {len(row) - 2} values, "
                 f"expected {width}"
             )
         try:
-            rows.append([float(v) for v in row[2:]])
+            numbers.append([float(v) for v in row[2:]])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: bad number: {exc}")
-    return np.array(rows).reshape(n_rows, width)
+    return np.array(numbers).reshape(len(rows), width)
 
 
-def read_blocks_csv(path, ct: CrossTemporalStructure) -> list[ForecastBlock]:
-    """Read the wide format back into per-origin blocks, sorted by origin."""
+def _read_forecast_csv(path, ct: CrossTemporalStructure) -> tuple[list, np.ndarray]:
+    """The origins and (origins, series, positions) values of a wide CSV
+    whose columns are the canonical positions."""
     expected = position_labels(ct.te)
 
     def check_columns(columns):
         if columns != expected:
-            raise ValidationError(
-                f"{path}: position columns {columns} != canonical {expected}"
-            )
+            raise ValidationError(f"{path}: position columns {columns} != canonical {expected}")
 
-    blocks = [
-        ForecastBlock(table, ct, origin)
-        for origin, table in _read_keyed_csv(path, ct.cs.labels, check_columns)
-    ]
-    if not blocks:
+    origins, tables = _read_keyed_csv(path, ct.cs.labels, check_columns)
+    if not origins:
         raise ValidationError(f"{path}: no data rows")
-    return blocks
+    return origins, tables
+
+
+def read_blocks_csv(path, ct: CrossTemporalStructure) -> list[ForecastBlock]:
+    """Read the wide format back into per-origin blocks, sorted by origin."""
+    return [ForecastBlock(t, ct, o) for o, t in zip(*_read_forecast_csv(path, ct))]
 
 
 def write_residuals_csv(path, residuals: ResidualSet, ct: CrossTemporalStructure) -> None:
@@ -461,8 +461,7 @@ def write_residuals_csv(path, residuals: ResidualSet, ct: CrossTemporalStructure
 
 
 def read_residuals_csv(path, ct: CrossTemporalStructure) -> ResidualSet:
-    blocks = read_blocks_csv(path, ct)
-    return ResidualSet(np.stack([b.values for b in blocks]))
+    return ResidualSet(_read_forecast_csv(path, ct)[1])
 
 
 def write_history_csv(path, histories: np.ndarray, ct: CrossTemporalStructure) -> None:
@@ -483,7 +482,7 @@ def read_history_csv(path, ct: CrossTemporalStructure) -> dict[str, np.ndarray]:
                 f"{path}: history has {len(columns)} columns, needs at least {ct.te.m}"
             )
 
-    return dict(_read_keyed_csv(path, ct.cs.labels[ct.cs.n_upper :], check_columns))
+    return dict(zip(*_read_keyed_csv(path, ct.cs.labels[ct.cs.n_upper :], check_columns)))
 
 
 # -- level maps ------------------------------------------------------------------

@@ -787,6 +787,30 @@ def test_cli_import_leaves_scipy_stats_unloaded(workdir):
     assert (workdir / "cold" / "reconciled.csv").exists()
 
 
+def test_commands_read_and_write_utf8_whatever_the_locale(workdir):
+    # every file is opened as UTF-8, never in the locale's encoding: no
+    # command warns under -X warn_default_encoding, and a label outside
+    # ASCII goes from the hierarchy through every output
+    (workdir / "hier.txt").write_text(TOY_HIERARCHY.replace("p1", "Zürich"), "utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(ctrec.__file__).parents[1]))
+    code = "import sys; from ctrec.cli import main; sys.exit(main(sys.argv[1:]))"
+    sim, out = workdir / "sim", workdir / "out"
+    for args in (
+        ["simulate", "--hierarchy", workdir / "hier.txt", "--out", sim],
+        ["reconcile", "--hierarchy", sim / "hierarchy.txt", "--input", sim / "base.csv",
+         "--cov", "wlsv", "--residuals", sim / "residuals.csv", "--out", out],
+        ["evaluate", "--hierarchy", sim / "hierarchy.txt", "--actuals", sim / "actuals.csv",
+         "--candidate", f"oct={out / 'reconciled.csv'}", "--out", out],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", code, *map(str, args)],
+            env=env, capture_output=True, text=True, encoding="utf-8",
+        )
+        assert done.returncode == 0, (args[0], done.stderr)
+    assert "Zürich" in (out / "reconciled.csv").read_text("utf-8")
+
+
 def test_timings_measure_wall_time_without_tracing_memory(workdir, monkeypatch):
     # --timings reports wall time only: tracemalloc would inflate it ~2x;
     # --memory adds the traced peak; with neither the stream is unchanged

@@ -4,7 +4,9 @@ import csv
 import errno
 import json
 import re
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from ctrec.io import (
     write_residuals_csv,
 )
 from ctrec.reconcile import ForecastBlock
+from ctrec.simulate import pv324_structure, simulate_dataset
 from ctrec.covariance import sigma_ols
 from helpers import run_method, toy_ct
 
@@ -249,6 +252,44 @@ def test_keyed_csvs_round_trip_labels_that_need_quoting(tmp_path):
     back = read_history_csv(path, ct)
     assert np.array_equal(back["0000"], histories[0])
     assert np.array_equal(back["0001"], histories[1])
+
+
+@pytest.mark.parametrize("labels", [["t,ot", "a", "b"], ["tot", "a", "b"]])
+def test_a_keyed_csv_is_split_once_and_its_numbers_parsed_from_that_split(
+    tmp_path, labels
+):
+    # a label that needs quoting sends the file through the csv module, a
+    # plain file never reaches it; either way a bad number is parsed from
+    # the split that the key pass made
+    ct = build_ct(build_cs(np.array([[1.0, 1.0]]), labels), build_te([2, 1]))
+    path = tmp_path / "blocks.csv"
+    write_blocks_csv(path, [ForecastBlock(np.ones((3, 3)), ct, str(o)) for o in range(2)])
+    lines = path.read_text().split("\n")
+    lines[2] = lines[2].replace("1.0", "x", 1)  # series a of origin 0
+    path.write_text("\n".join(lines))
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as reader, \
+            pytest.raises(ValidationError, match=r"blocks\.csv:3: bad number"):
+        read_blocks_csv(path, ct)
+    assert reader.call_count == (1 if "t,ot" in labels else 0)
+
+
+def test_reading_residuals_peaks_below_2_6_times_the_file(tmp_path):
+    # the text is dropped once split and the blocks go to ResidualSet as one
+    # array, so the peak stays near twice the file (~2.4x)
+    ct = pv324_structure()
+    data = simulate_dataset(ct, n_origins=1, n_residual_origins=3, seed=1)
+    path = tmp_path / "residuals.csv"
+    write_residuals_csv(path, data.residuals, ct)
+    size = path.stat().st_size
+    assert size >= 1_000_000
+    tracemalloc.start()
+    try:
+        back = read_residuals_csv(path, ct)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.blocks, data.residuals.blocks)
+    assert peak <= 2.6 * size
 
 
 def test_csv_writer_matches_the_csv_module_on_numpy_scalars_and_a_lone_empty_cell(
