@@ -2,18 +2,19 @@
 """Timing and memory at the 324-series hourly scale.
 
 Each combination is prepared once for the batch (`ctrec.prepare`), as
-`ctrec reconcile` does: its projectors are built and factored on the first
-origin, and every later origin only applies them. The median over the
-origins is therefore the warm per-origin cost; the first origin carries
-the preparation. Warm, the one-shot solve is the cheapest. Once per batch
-it factors 324 temporal Grams of 24 × 24 and one cross-sectional Schur
-system of 144 rows, instead of an 11 808-row sparse constraint Gram; each
-origin then costs a few batched matrix products. The alternating heuristic
-costs one pair of batched uni-dimensional projections per cycle: one cycle
-under weights that make it collapse, a few under variance-scaled ones. On
-a 2-vCPU host the demo runs in under a second and prints medians of
-0.5–0.7 ms for `oct`, 0.7–2 ms for `ka-tcs[wlsv]` and `ite-tcs` (1 and 2
-cycles), and traced peaks of 0.3–0.7 MB.
+`ctrec reconcile` does: its projectors are built and factored there, before
+any origin, and every origin only applies them. Each report carries the
+build's time as `prepare_s` and its own apply as `elapsed`, so the median
+over the origins is the warm per-origin cost, printed next to the one-off
+build. Warm, the one-shot solve is the cheapest. Once per batch it
+factors 324 temporal Grams of 24 × 24 and one cross-sectional Schur system
+of 144 rows, instead of an 11 808-row sparse constraint Gram; each origin
+then costs a few batched matrix products. The alternating heuristic costs
+one pair of batched uni-dimensional projections per cycle: one cycle under
+weights that make it collapse, a few under variance-scaled ones. On a
+2-vCPU host the demo runs in under a second and prints traced builds of
+2–17 ms, medians of 0.2–0.7 ms for `oct` and 0.4–2 ms for `ka-tcs[wlsv]`
+and `ite-tcs` (1 and 2 cycles), and traced peaks of 0.3–0.7 MB.
 """
 
 from dataclasses import replace
@@ -54,10 +55,11 @@ reports = [
 iters = {r.method: r.iterations for r in reports}
 print("cycles per run:", {k: v for k, v in iters.items() if k.startswith("ite")})
 
+prepared = {r.method: r.prepare_s for r in reports}
 rows = perf_summary(report_dict(r, timings=True, memory=True) for r in reports)
-print(f"\n{'combination':<16} {'median time':>12} {'median peak':>12}")
+print(f"\n{'combination':<16} {'build':>9} {'median time':>12} {'median peak':>12}")
 for row in sorted(rows, key=lambda r: r.elapsed_median):
-    print(f"{row.method:<16} {row.elapsed_median * 1e3:>9.1f} ms "
-          f"{row.mem_median / 1e6:>9.1f} MB")
+    print(f"{row.method:<16} {prepared[row.method] * 1e3:>6.1f} ms "
+          f"{row.elapsed_median * 1e3:>9.1f} ms {row.mem_median / 1e6:>9.1f} MB")
 write_perf_csv("benchmark_perf.csv", rows)
 print("\nfull table -> benchmark_perf.csv")

@@ -71,8 +71,9 @@ def _naming(source):
 def _strategy(args: argparse.Namespace, ct: CrossTemporalStructure, residuals, histories):
     """Bind a method name to a per-origin callable returning a report.
 
-    A reconciling method is prepared once here and builds its operator on
-    the first origin's call, so a batch factors it once.
+    A reconciling method is built here, once per batch, before any origin
+    runs; each origin then only applies it, and every report carries that
+    build's cost as ``prepare_s`` and ``prepare_peak_mem``.
     """
     method = args.method
     if method not in METHODS:
@@ -122,6 +123,10 @@ def _baseline(method: str, ct: CrossTemporalStructure, histories, memory: bool):
 def cmd_reconcile(args: argparse.Namespace) -> tuple[int, str]:
     if args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+    if args.memory and args.threads > 1:
+        # tracemalloc is process-wide: one origin's meter would stop or reset
+        # the trace while another origin is still measuring
+        raise ValidationError("--memory needs --threads 1: traced peaks are process-wide")
     if args.sntz and not all(COHERENCE_PROFILE.get(args.method, (True, True))):
         raise ValidationError(f"--sntz needs a fully coherent method; {args.method} is not")
     ct = _load_structure(args)
@@ -276,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(off by default so equal runs are byte-identical)")
     p.add_argument("--memory", action="store_true",
                    help="trace allocations and include the peak in reports.jsonl; "
-                        "tracing slows the run, so take timings in another one")
+                        "needs --threads 1, and tracing slows the run, so take "
+                        "timings in another one")
 
     p = command("simulate", cmd_simulate, "generate a synthetic experiment")
     p.add_argument("--seed", type=int, default=0)

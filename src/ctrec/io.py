@@ -532,7 +532,9 @@ REPORT_FIELDS: dict[str, tuple[str, str, Callable[[ReconcileReport], object]]] =
     "flags": ("list of str", "always", lambda r: list(r.flags)),
     "delta": ("number", "ite-*", lambda r: r.delta),
     "elapsed": ("number", "--timings", lambda r: r.elapsed),
+    "prepare_s": ("number", "--timings", lambda r: r.prepare_s),
     "peak_mem": ("int", "--memory", lambda r: r.peak_mem),
+    "prepare_peak_mem": ("int", "--memory", lambda r: r.prepare_peak_mem),
 }
 
 

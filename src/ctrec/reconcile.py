@@ -8,12 +8,12 @@ The cross-sectional step projects every temporal position onto the
 hierarchy's summing subspace; the temporal step projects every series onto
 the temporal-grid subspace. One-shot methods do one of these (or the
 combined projection); the sequential, averaged and alternating heuristics
-compose them. All of them leave the inputs untouched and are safe to run
-concurrently over origins.
+compose them. All of them leave the inputs untouched.
 
-``prepare`` is the one way to run a method by name: it splits the method
-into its weight-dependent part (projectors, factorizations, averaged
-matrices), built once per batch, and the per-origin apply.
+``prepare`` is the one way to run a method by name: it builds the method's
+weight-dependent part (projectors, factorizations, averaged matrices) once,
+eagerly, and returns the per-origin apply over that immutable result, which
+concurrent origins may share.
 
 Every strategy takes its weights as one (n, q) table mirroring a forecast
 block: a named diagonal covariance, an (n, q) array of positive entries, or
@@ -24,7 +24,6 @@ temporal step its rows.
 from __future__ import annotations
 
 import math
-import threading
 import time
 import tracemalloc
 from collections.abc import Iterable
@@ -97,8 +96,10 @@ class ReconcileReport:
     ``trace`` holds the Frobenius norm of the change made by each complete
     cycle (a single entry for one-shot methods). ``coherence`` is the pair
     of largest absolute cross-sectional and temporal constraint violations.
-    ``peak_mem`` is a best-effort traced-allocation peak in bytes (0 when
-    measurement was off). ``iterates`` is only populated on request.
+    ``elapsed`` and ``peak_mem`` (best-effort traced bytes, 0 when not
+    measured) cover this origin's apply; ``prepare_s`` and
+    ``prepare_peak_mem`` the method's one-off build, shared by a batch's
+    reports (0 for the baselines). ``iterates`` is only populated on request.
     """
 
     block: ForecastBlock
@@ -113,6 +114,8 @@ class ReconcileReport:
     flags: tuple[str, ...] = ()
     iterates: tuple[np.ndarray, ...] | None = None
     delta: float | None = None  # stopping tolerance, alternating runs only
+    prepare_s: float = 0.0
+    prepare_peak_mem: int = 0
 
 
 class _Meter:
@@ -205,17 +208,6 @@ def _mean_projection(
     return batched_projector(structure, weights)(eye).mean(axis=1)
 
 
-def _oct_projector(
-    ct: CrossTemporalStructure, sigma
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The one-shot combined projection of a block, by block elimination:
-    one stack of per-series temporal Grams plus one cross-sectional Schur
-    system of n_upper·m rows (see ``cross_temporal_projector``). The
-    combined constraint Gram is never formed; ``reference.zero_projector``
-    on ``ct.full_constraint("ct")`` is the reference it is checked against."""
-    return cross_temporal_projector(ct.cs, ct.te, _cells(ct, sigma))
-
-
 def _ka_map(
     ct: CrossTemporalStructure, sigma_cs, sigma_te, order: str
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -239,9 +231,12 @@ def _ka_map(
 
 def _build(kind: str, order: str, ct: CrossTemporalStructure, sigma_cs, sigma_te):
     """The weight-dependent part of a method: the block map a one-shot
-    method applies, or the (first, second) steps that ``ite`` alternates."""
+    method applies, or the (first, second) steps that ``ite`` alternates.
+    ``oct`` solves by block elimination (see ``cross_temporal_projector``),
+    never forming the combined constraint Gram; ``reference.zero_projector``
+    on ``ct.full_constraint("ct")`` is the reference it is checked against."""
     if kind == "oct":
-        return _oct_projector(ct, sigma_cs)
+        return cross_temporal_projector(ct.cs, ct.te, _cells(ct, sigma_cs))
     if kind == "cs":
         return _cs_step(ct, sigma_cs)
     if kind == "te":
@@ -293,7 +288,8 @@ def prepare(
     keep_iterates: bool = False,
     measure_memory: bool = False,
 ) -> Callable[[ForecastBlock], ReconcileReport]:
-    """Bind a reconciling method and its weights to a per-origin callable.
+    """Build a reconciling method for its weights and return its per-origin
+    apply.
 
     ``method`` is one of ``METHODS``; "cst" runs the cross-sectional step
     first, "tcs" the temporal one:
@@ -314,15 +310,20 @@ def prepare(
     ``sigma`` weighs the cross-sectional step (and ``oct``), ``sigma_te``
     the temporal one (default: ``sigma``). Everything that depends only on
     the weights — the projectors and their factorizations, ``ka``'s
-    averaged matrix — is built once, on the first call, under a lock so
-    that concurrent origins share it; every call then applies it to its
-    own block. The first report's ``elapsed`` carries that preparation.
+    averaged matrix — is built here, once, so its faults (a misshapen
+    table, ``ka``'s per-order check, a singular system) raise before any
+    origin runs; the returned callable only applies that immutable build,
+    and concurrent origins may share it. Reports carry the build's cost as
+    ``prepare_s`` and ``prepare_peak_mem``, the apply's as ``elapsed`` and
+    ``peak_mem``. tracemalloc is process-wide, so ``measure_memory``'s
+    traced peaks need one worker: one origin at a time.
     ``delta`` (positive and finite), ``max_iter`` and ``keep_iterates``
     concern the ``ite-*`` methods only.
     """
     kind, _, order = method.partition("-")
     if kind in ("seq", "ka", "ite"):
-        _check_order(order)
+        if order not in ("cst", "tcs"):
+            raise ValidationError(f"order must be 'cst' or 'tcs', got {order!r}")
     elif method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
     if kind == "ite":
@@ -340,8 +341,8 @@ def prepare(
         covariance = _sigma_name(weights[0])
     else:
         covariance = f"cs={_sigma_name(sigma)},te={_sigma_name(sigma_te)}"
-    lock = threading.Lock()
-    built = []
+    with _Meter(measure_memory) as build:
+        built = _build(kind, order, ct, sigma, sigma_te)
 
     def run(block: ForecastBlock) -> ReconcileReport:
         if block.structure is not ct:
@@ -349,15 +350,12 @@ def prepare(
                 f"origin {block.origin_id}: block of another structure"
             )
         with _Meter(measure_memory) as meter:
-            with lock:
-                if not built:
-                    built.append(_build(kind, order, ct, sigma, sigma_te))
             if kind == "ite":
                 values, trace, converged, iterates = _alternate(
-                    *built[0], block.values, delta, max_iter, keep_iterates
+                    *built, block.values, delta, max_iter, keep_iterates
                 )
             else:
-                values = built[0](block.values)
+                values = built(block.values)
                 trace = [frobenius_gap(values, block.values)]
                 converged, iterates = True, None
         # measured on the stored copy so the figures do not depend on the
@@ -382,6 +380,8 @@ def prepare(
             flags=tuple(flags),
             iterates=None if iterates is None else tuple(iterates),
             delta=delta if kind == "ite" else None,
+            prepare_s=build.elapsed,
+            prepare_peak_mem=build.peak,
         )
 
     return run
@@ -456,11 +456,6 @@ def run_batch(
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(strategy, blocks))
-
-
-def _check_order(order: str) -> None:
-    if order not in ("cst", "tcs"):
-        raise ValidationError(f"order must be 'cst' or 'tcs', got {order!r}")
 
 
 def __getattr__(name):

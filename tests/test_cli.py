@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,7 @@ def test_baselines_report_their_time_and_memory(workdir, method):
     ) == 0
     records = read_reports_jsonl(out / "reports.jsonl")
     assert all(r["elapsed"] > 0 and r["peak_mem"] > 0 for r in records)
+    assert all(r["prepare_s"] == r["prepare_peak_mem"] == 0 for r in records)  # no build
     bench = workdir / f"bench-{method}"
     assert run(
         ["bench", "--hierarchy", workdir / "hier.txt", "--reps", 2, "--methods", method,
@@ -483,6 +485,85 @@ def test_evaluate_rejects_malformed_reports_with_exit_2(workdir, capsys):
     assert "bad.jsonl:2" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_mistyped_prepare_field_naming_it(workdir, capsys):
+    sim = simulate(workdir)
+    reports = workdir / "bad.jsonl"
+    reports.write_text('{"method": "oct"}\n{"method": "oct", "prepare_s": "slow"}\n')
+    code = run(
+        ["evaluate", "--hierarchy", workdir / "hier.txt", "--actuals", sim / "actuals.csv",
+         "--candidate", f"base={sim / 'base.csv'}", "--reports", reports,
+         "--out", workdir / "eval-bad"]
+    )
+    assert code == 2
+    assert "bad.jsonl:2: field prepare_s: expected number" in capsys.readouterr().err
+
+
+def test_reconcile_refuses_memory_with_more_than_one_thread(workdir, capsys):
+    # tracemalloc is process-wide: concurrent origins reset each other's
+    # peaks. Refused before any file is read, so the missing input goes unread
+    out = workdir / "out"
+    code = run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", workdir / "none.csv",
+         "--memory", "--threads", 2, "--out", out]
+    )
+    assert code == 2
+    assert "--memory needs --threads 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SINGULAR = np.ones((7, 7))
+SINGULAR[0, -1] = 1e-20  # one finest cell dominates its series' temporal Gram
+VARYING = np.ones((7, 7))
+VARYING[0, 1] = 2.0  # order 2's first position only
+
+
+@pytest.mark.parametrize(
+    "method, weights, code, message",
+    [
+        ("oct", SINGULAR, 3,
+         "numerical failure: temporal structural Gram matrix (column 0) is singular"),
+        ("ka-tcs", VARYING, 2,
+         "error: the averaging heuristic needs one cross-sectional weight per order"),
+        ("oct", np.ones((7, 6)), 2, "error: weights of shape (7, 6) are neither"),
+    ],
+    ids=["singular", "ka-per-order", "misshapen"],
+)
+def test_a_weight_fault_exits_before_any_origin_runs(
+    workdir, capsys, monkeypatch, method, weights, code, message
+):
+    import ctrec.covariance as covariance
+
+    sim = simulate(workdir)
+    monkeypatch.setattr(covariance, "build_sigma", lambda *args: weights)
+    monkeypatch.setattr(ctrec.cli, "run_batch", lambda *a, **k: pytest.fail("applied"))
+    out = workdir / "out"
+    assert run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", method, "--out", out]
+    ) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_prepare_s_carries_the_build_and_elapsed_only_the_apply(workdir, monkeypatch):
+    real = reconcile.cross_temporal_projector
+
+    def slow_build(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(reconcile, "cross_temporal_projector", slow_build)
+    sim = simulate(workdir, reps=3)
+    out = workdir / "out"
+    assert run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", "oct", "--timings", "--out", out]
+    ) == 0
+    records = read_reports_jsonl(out / "reports.jsonl")
+    assert len(records) == 3
+    assert all(r["prepare_s"] >= 0.05 and r["elapsed"] < 0.05 for r in records)
+
+
 def test_determinism_across_runs_and_thread_counts(workdir):
     sim_a = simulate(workdir, out="sim-a", seed=11)
     sim_b = simulate(workdir, out="sim-b", seed=11)
@@ -504,7 +585,7 @@ def test_determinism_across_runs_and_thread_counts(workdir):
 
 
 def test_batch_prepares_once_and_is_deterministic(workdir, monkeypatch):
-    # a batch builds its operator on the first origin only, whatever the
+    # a batch builds its operator once, before any origin, whatever the
     # thread count, and the output bytes do not depend on either; that build
     # factors one Gram stack per dimension (oct: the temporal stack and the
     # Schur system), each by a single dense factorization
@@ -832,7 +913,9 @@ def test_timings_measure_wall_time_without_tracing_memory(workdir, monkeypatch):
         assert run(args + list(flags) + ["--out", out]) == 0
         records = read_reports_jsonl(out / "reports.jsonl")
         assert all(("elapsed" in r) == ("--timings" in flags) for r in records)
+        assert all(("prepare_s" in r) == ("--timings" in flags) for r in records)
         assert all(("peak_mem" in r) == ("--memory" in flags) for r in records)
+        assert all(("prepare_peak_mem" in r) == ("--memory" in flags) for r in records)
         assert bool(started) == ("--memory" in flags)
         started.clear()
         streams.setdefault(flags, []).append((out / "reports.jsonl").read_bytes())

@@ -466,7 +466,8 @@ def _has_type(kind: str, value) -> bool:
     }[kind]
 
 
-# every field written: an alternating run with timings and memory
+# every field written: an alternating run with timings and memory, which
+# carries its build's cost too
 FULL_REPORT = report_dict(
     prepare("ite-tcs", CT, sigma_ols(CT), measure_memory=True)(
         ForecastBlock(np.arange(9.0).reshape(3, 3), CT)
@@ -484,6 +485,7 @@ JSON_VALUE = st.recursive(
 
 def test_the_full_report_has_every_field_and_reads_back(scratch):
     assert set(FULL_REPORT) == set(REPORT_FIELDS)
+    assert FULL_REPORT["prepare_s"] > 0 and FULL_REPORT["prepare_peak_mem"] > 0
     path = scratch / "reports.jsonl"
     path.write_text(json.dumps(FULL_REPORT) + "\n")
     assert read_reports_jsonl(path) == [FULL_REPORT]
@@ -494,6 +496,8 @@ def test_the_full_report_has_every_field_and_reads_back(scratch):
 @example(field="iterations", value=1.0)
 @example(field="peak_mem", value=True)
 @example(field="elapsed", value=False)
+@example(field="prepare_s", value="slow")
+@example(field="prepare_peak_mem", value=1.0)
 @example(field="trace", value=[1, True])
 @example(field="flags", value=["a", 1])
 @example(field="coherence", value={"cs": 0.0, "te": None})

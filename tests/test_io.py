@@ -422,12 +422,13 @@ def test_reports_jsonl_round_trip_and_timings_toggle(tmp_path):
     path = tmp_path / "reports.jsonl"
     write_reports_jsonl(path, [report])
     (record,) = read_reports_jsonl(path)
-    assert "elapsed" not in record and "peak_mem" not in record
+    assert not {"elapsed", "prepare_s", "peak_mem", "prepare_peak_mem"} & set(record)
     assert record["method"] == "oct"
     assert record["iterations"] == 1
     write_reports_jsonl(path, [report], timings=True)
     (record,) = read_reports_jsonl(path)
-    assert record["elapsed"] > 0
+    assert record["elapsed"] > 0 and record["prepare_s"] > 0
+    assert "peak_mem" not in record and "prepare_peak_mem" not in record
     # stable key order for byte-identical streams
     line = path.read_text().strip()
     assert json.loads(line) == record
@@ -452,6 +453,8 @@ def test_reports_jsonl_rejects_a_non_json_line_naming_it(tmp_path):
         ('{"method": "x", "delta": "a"}', "delta", "number"),
         ('{"method": 3}', "method", "str"),
         ('{"method": "x", "peak_mem": [1]}', "peak_mem", "int"),
+        ('{"method": "x", "prepare_s": "slow"}', "prepare_s", "number"),
+        ('{"method": "x", "prepare_peak_mem": 2.5}', "prepare_peak_mem", "int"),
         ('{"method": "x", "iterations": true}', "iterations", "int"),
         ('{"method": "x", "coherence": {"cs": 0.0}}', "coherence", "{cs, te} numbers"),
     ],

@@ -4,8 +4,9 @@ and convergence suites that the whole design hangs on."""
 import numpy as np
 import pytest
 
+import ctrec.reconcile as reconcile
 from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
-from ctrec.errors import ValidationError
+from ctrec.errors import SingularSystemError, ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.reconcile import (
     COHERENCE_PROFILE,
@@ -14,6 +15,7 @@ from ctrec.reconcile import (
     baseline_bu,
     baseline_pers_bu,
     frobenius_gap,
+    prepare,
     run_batch,
     sntz,
 )
@@ -471,6 +473,47 @@ def test_run_batch_is_deterministic_across_worker_counts():
     assert [r.block.origin_id for r in serial] == [r.block.origin_id for r in threaded]
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.block.values, b.block.values)
+
+
+@pytest.mark.parametrize(
+    "method, builds",
+    [("oct", ["cross_temporal_projector"]), ("ite-tcs", ["batched_projector"] * 2)],
+)
+def test_prepare_builds_before_any_block_and_never_again(monkeypatch, method, builds):
+    calls = []
+
+    def counting(name):
+        real = getattr(reconcile, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("batched_projector", "cross_temporal_projector"):
+        monkeypatch.setattr(reconcile, name, counting(name))
+    rng = np.random.default_rng(24)
+    ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
+    blocks = [random_block(rng, ct, origin_id=str(i)) for i in range(3)]
+    strategy = prepare(method, ct, rng.uniform(0.5, 2.0, size=(ct.n_series, ct.n_positions)))
+    assert calls == builds
+    for workers in (1, 2):
+        reports = run_batch(blocks, strategy, max_workers=workers)
+        assert calls == builds
+        assert len({r.prepare_s for r in reports}) == 1 and reports[0].prepare_s > 0
+
+
+def test_prepare_raises_a_weight_fault_before_any_block():
+    ct = toy_ct((4, 2, 1))
+    varying = np.ones((ct.n_series, ct.n_positions))
+    varying[0, 1] = 2.0  # order 2's first position only
+    with pytest.raises(ValidationError, match=(
+        "the averaging heuristic needs one cross-sectional weight per order, "
+        "but the weights vary within an order"
+    )):
+        prepare("ka-tcs", ct, varying)
+    with pytest.raises(ValidationError, match="cell table"):
+        prepare("oct", ct, np.ones((ct.n_series, ct.n_positions + 1)))
+    singular = np.ones((ct.n_series, ct.n_positions))
+    singular[0, -1] = 1e-20  # one finest cell dominates its series' temporal Gram
+    with pytest.raises(SingularSystemError, match="temporal structural Gram matrix"):
+        prepare("oct", ct, singular)
 
 
 def test_degenerate_single_order_grid():
