@@ -170,7 +170,7 @@ def frobenius_trace(
     target = oct_report.block.values
     if target.shape != iter_report.block.values.shape:
         raise ValidationError("reports cover different block shapes")
-    gaps = [float(np.linalg.norm(it - target)) for it in iter_report.iterates]
+    gaps = [frobenius_gap(it, target) for it in iter_report.iterates]
     gaps.append(frobenius_gap(iter_report.block.values, target))
     return np.asarray(gaps)
 

@@ -241,10 +241,17 @@ class CrossTemporalStructure:
         return float(np.abs(self.cs.constraint_dense @ X).max())
 
     def te_residual(self, X: np.ndarray) -> float:
-        """Largest absolute temporal constraint violation of a block."""
-        if self.te.k_star == 0:  # single-order grid: nothing to violate
+        """Largest absolute temporal constraint violation of a block: each
+        aggregated value against the sum of its k finest values, summed in
+        place rather than through ``te.constraint_dense``, whose product
+        OpenBLAS would split over its threads (see ``reconcile._frobenius``)."""
+        te = self.te
+        if te.k_star == 0:  # single-order grid: nothing to violate
             return 0.0
-        return float(np.abs(X @ self.te.constraint_dense.T).max())
+        X = np.asarray(X)
+        finest = X[:, te.hf_slice].T.copy()  # position-major: each sum adds whole rows
+        sums = [finest.reshape(te.m // k, k, -1).sum(axis=1) for k in te.orders[:-1]]
+        return float(np.abs(X[:, : te.k_star].T - np.vstack(sums)).max())
 
     def coherence_residuals(self, X: np.ndarray) -> tuple[float, float]:
         return self.cs_residual(X), self.te_residual(X)

@@ -149,7 +149,13 @@ def frobenius_gap(a, b) -> float:
     """Frobenius norm of the difference of two blocks (or arrays)."""
     av = a.values if isinstance(a, ForecastBlock) else np.asarray(a)
     bv = b.values if isinstance(b, ForecastBlock) else np.asarray(b)
-    return float(np.linalg.norm(av - bv))
+    return _frobenius(av - bv)
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm by numpy's pairwise sum: ``np.linalg.norm``'s ddot runs on
+    OpenBLAS threads above 10 000 entries, up to 8 ms a call on a busy 2-vCPU host."""
+    return math.sqrt(np.square(x).sum())
 
 
 def _sigma_name(sigma) -> str:
@@ -264,13 +270,11 @@ def _alternate(first, second, x0, delta, max_iter, keep_iterates):
     converged = False
     for _ in range(max_iter):
         current = second(half)
-        trace.append(float(np.linalg.norm(current - previous)))
+        trace.append(_frobenius(current - previous))
         if keep_iterates:
             iterates.append(current.copy())
         half = first(current)
-        converged = float(np.linalg.norm(half - current)) <= delta * max(
-            1.0, float(np.linalg.norm(current))
-        )
+        converged = _frobenius(half - current) <= delta * max(1.0, _frobenius(current))
         previous = current
         if converged:
             break

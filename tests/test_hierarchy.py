@@ -255,6 +255,18 @@ def test_vectorize_round_trip():
     assert np.array_equal(x[: ct.n_positions], X[0])
 
 
+@pytest.mark.parametrize("orders", [(1,), (2, 1), (12, 6, 4, 3, 2, 1), (24, 12, 8, 6, 4, 3, 2, 1)])
+def test_te_residual_is_the_largest_temporal_constraint_violation(orders):
+    ct = build_ct(build_cs(np.array([[1.0, 1.0, 1.0]])), build_te(orders))
+    X = np.random.default_rng(2).normal(size=(ct.n_series, ct.n_positions)) * 1e3
+    C = ct.te.constraint_dense
+    expected = np.abs(X @ C.T).max() if len(C) else 0.0
+    assert ct.te_residual(X) == pytest.approx(expected, rel=1e-12)
+    assert ct.te_residual(np.asfortranarray(X)) == ct.te_residual(X)
+    X[1, -1] = np.nan
+    assert np.isnan(ct.te_residual(X)) == (len(C) > 0)
+
+
 def test_bottom_up_round_trip_and_coherence():
     ct = toy_ct(orders=(4, 2, 1))
     rng = np.random.default_rng(1)

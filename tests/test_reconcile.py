@@ -166,6 +166,13 @@ def test_seq_orders_differ_under_general_covariances():
     assert frobenius_gap(a.block, b.block) > 1e-6
 
 
+def test_frobenius_gap_is_the_norm_of_the_difference():
+    a, b = np.random.default_rng(5).normal(size=(2, 30, 7)) * 1e4
+    assert frobenius_gap(a, b) == pytest.approx(np.linalg.norm(a - b), rel=1e-14)
+    assert frobenius_gap(a.T, b.T) == pytest.approx(np.linalg.norm(a - b), rel=1e-14)
+    assert frobenius_gap(a, a) == 0.0
+
+
 def test_ka_coherent_input_unchanged():
     rng = np.random.default_rng(9)
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
