@@ -21,7 +21,6 @@ from .hierarchy import (
     CrossTemporalStructure, TemporalStructure, build_cs, build_ct, build_te,
 )
 from .reconcile import (
-    COHERENCE_PROFILE,
     ITERATIVE_DEFAULT_DELTA,
     ITERATIVE_DEFAULT_MAX_ITER,
     METHODS as RECONCILE_METHODS,
@@ -36,7 +35,7 @@ from .reconcile import (
 )
 from .simulate import PV324_ORDERS, pv324_structure, simulate_dataset
 
-METHODS = RECONCILE_METHODS + ("bu", "pers-bu")
+METHODS = (*RECONCILE_METHODS, "bu", "pers-bu")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -127,7 +126,7 @@ def cmd_reconcile(args: argparse.Namespace) -> tuple[int, str]:
         # tracemalloc is process-wide: one origin's meter would stop or reset
         # the trace while another origin is still measuring
         raise ValidationError("--memory needs --threads 1: traced peaks are process-wide")
-    if args.sntz and not all(COHERENCE_PROFILE.get(args.method, (True, True))):
+    if args.sntz and not all(RECONCILE_METHODS.get(args.method, (True, True))):
         raise ValidationError(f"--sntz needs a fully coherent method; {args.method} is not")
     ct = _load_structure(args)
     blocks = io.read_blocks_csv(args.input, ct)

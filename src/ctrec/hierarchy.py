@@ -12,9 +12,9 @@ canonical layout used everywhere in this package:
 * its canonical vector is ``x = X.ravel()`` (row-major), i.e. series-major
   with each series' temporal block in the column order above.
 
-Summing and constraint matrices are built exactly, with integer-valued
-entries whenever the aggregation weights are integers, so identities such
-as ``constraint @ summing == 0`` hold exactly in floating point. Each
+Summing and constraint matrices are built exactly, and each factor's
+``constraint @ summing`` is [I, −A]·[A; I], every entry 1·a − a·1: exactly
+zero in floating point for any finite weights, integer or not. Each
 structure keeps them in one dense form (``summing_dense``,
 ``constraint_dense``); only the expanded matrices of the full vector are
 sparse, for the reference projections, and import ``scipy.sparse``.
@@ -34,7 +34,7 @@ from .errors import StructureError
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# Fail fast before allocating vectors longer than this (overridable per build).
+# build_ct fails fast before allocating vectors longer than this.
 DEFAULT_SIZE_CAP = 1_000_000
 
 
@@ -332,33 +332,13 @@ def build_te(orders: Sequence[int]) -> TemporalStructure:
     return TemporalStructure(orders=tuple(uniq))
 
 
-def build_ct(
-    cs: CrossSectionalStructure,
-    te: TemporalStructure,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> CrossTemporalStructure:
-    """Combine the two structures, failing fast when the full vector is too big.
-
-    Verifies that the combined constraint and summing maps annihilate each
-    other (exactly for integer weights, to round-off for real-valued ones),
-    factor by factor: the blocks of the combined product are
-    C_cs S_cs ⊗ I_m and S_cs ⊗ C_te S_te, so its largest entry is the
-    larger of max|C_cs S_cs| and max|S_cs|·max|C_te S_te|.
-    """
+def build_ct(cs: CrossSectionalStructure, te: TemporalStructure) -> CrossTemporalStructure:
+    """Combine the two structures, failing fast when the full vector is
+    longer than ``DEFAULT_SIZE_CAP``. Nothing else can fail: each factor's
+    ``constraint @ summing`` is exactly zero (see the module docstring)."""
     dim = cs.n_series * te.n_positions
-    if dim > size_cap:
+    if dim > DEFAULT_SIZE_CAP:
         raise StructureError(
-            f"full vector length {dim} exceeds the size cap {size_cap}"
+            f"full vector length {dim} exceeds the size cap {DEFAULT_SIZE_CAP}"
         )
-    ct = CrossTemporalStructure(cs=cs, te=te)
-    cs_part = np.abs(cs.constraint_dense @ cs.summing_dense).max(initial=0.0)
-    te_part = np.abs(te.constraint_dense @ te.summing_dense).max(initial=0.0)
-    residual = float(max(cs_part, np.abs(cs.summing_dense).max() * te_part))
-    integral = bool(np.all(cs.agg == np.round(cs.agg)))
-    tol = 0.0 if integral else 1e-10 * max(1.0, float(np.abs(cs.agg).max()))
-    if residual > tol:
-        raise StructureError(
-            f"combined constraints do not annihilate the summing map "
-            f"(residual {residual:.3e})"
-        )
-    return ct
+    return CrossTemporalStructure(cs=cs, te=te)

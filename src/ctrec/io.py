@@ -334,12 +334,12 @@ def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> tuple[list, n
     wide CSV with one row per (origin, series), row i of each origin's table
     holding series ``labels[i]``. The header starts ``origin,series``;
     ``check_columns`` vets the rest of it. Blank lines are skipped. The first
-    faulty row is named as ``file:line``: a short row, a repeated (origin,
-    series), an unknown series, a cell over the csv module's size limit, a
-    wrong width or a bad number. An origin missing a series is an error
-    naming the file. The text is split once: by the csv module when it holds
-    a quote or a bare carriage return, otherwise by ``str.split``, which
-    gives the same cells.
+    faulty row in file order is named as ``file:line``: a short row, a
+    repeated (origin, series), an unknown series, any cell over the csv
+    module's size limit, a wrong width or a bad number. An origin missing a
+    series is an error naming the file. The text is split once: by the csv
+    module when it holds a quote or a bare carriage return, otherwise by
+    ``str.split``, which gives the same cells and faults.
     """
     with open_input(path) as fh:
         text = fh.read()
@@ -348,9 +348,12 @@ def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> tuple[list, n
     plain = lines is not None and text.count("\r") == sum(
         line.endswith("\r") for line in lines[:-1]
     )
+    limit = csv.field_size_limit()
     if plain:
         lines = iter(lines)  # exhausted, it frees the lines
         header, rows = next(lines).removesuffix("\r").split(","), _split_rows(lines)
+        if max(map(len, header)) > limit:
+            raise ValidationError(f"{path}:1: field larger than field limit ({limit})")
     else:
         rows = _csv_rows(path, StringIO(text, newline=""))
         header = next(rows, None)
@@ -362,19 +365,25 @@ def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> tuple[list, n
     index = {label: i for i, label in enumerate(labels)}
     kept: dict[tuple[str, str], tuple[int, list[str]]] = {}  # key -> (line, row)
     fault = None
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) < 2:
-            fault = "expected origin,series,values..."
-        elif (row[0], row[1]) in kept:
-            fault = f"duplicate row for origin {row[0]!r}, series {row[1]!r}"
-        elif row[1] not in index:
-            fault = f"unknown series {row[1]!r}"
-        if fault:
-            fault = f"{path}:{lineno}: {fault}"
-            break
-        kept[row[0], row[1]] = lineno, row
+    try:  # the csv module raises at a line holding a cell over its limit
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if plain and max(map(len, row)) > limit and max(  # split as the csv module does
+                    map(len, ",".join(row).removesuffix("\r").split(","))) > limit:
+                fault = f"field larger than field limit ({limit})"
+            elif len(row) < 2:
+                fault = "expected origin,series,values..."
+            elif (row[0], row[1]) in kept:
+                fault = f"duplicate row for origin {row[0]!r}, series {row[1]!r}"
+            elif row[1] not in index:
+                fault = f"unknown series {row[1]!r}"
+            if fault:
+                fault = f"{path}:{lineno}: {fault}"
+                break
+            kept[row[0], row[1]] = lineno, row
+    except ValidationError as exc:
+        fault = str(exc)
     # a bad width or number on a row before a faulty key is reported first
     numbers = _numbers(path, list(kept.values()), width, plain)
     if fault:
@@ -412,14 +421,10 @@ def _numbers(path, rows, width: int, plain: bool) -> np.ndarray:
                     return numbers
             except (ValueError, UserWarning):
                 pass
-    limit, numbers = csv.field_size_limit(), []
+    numbers = []
     for lineno, row in rows:
-        if plain:  # the csv module's cells, under its field size limit
+        if plain:  # the csv module's cells
             row = ",".join(row).removesuffix("\r").split(",")
-            if max(map(len, row)) > limit:
-                raise ValidationError(
-                    f"{path}:{lineno}: field larger than field limit ({limit})"
-                )
         if len(row) != width + 2:
             raise ValidationError(
                 f"{path}:{lineno}: series {row[1]!r} has {len(row) - 2} values, "

@@ -186,10 +186,11 @@ def batched_projector(
     W = diag(weights[:, j]), S the structure's summing matrix and H its
     zero constraints. All b Gram matrices are factored once, as one stack,
     in the smaller form: constraint (k × k) when the k constraints are
-    fewer than the c free series, structural (c × c) otherwise; a weight
-    shared by every column (constant weights) needs only one. The returned
-    function also takes an (r, b, s) array: s vectors per column, all
-    projected under that column's weight.
+    fewer than the c = r − k free series, structural (c × c) otherwise; a
+    weight shared by every column (constant weights) needs only one. Only
+    the structural form reads S, so the constraint form never builds it.
+    The returned function also takes an (r, b, s) array: s vectors per
+    column, all projected under that column's weight.
 
     Either form is three matrix products on the array's own layout, the
     middle one applying the inverse Grams: the constraint form takes the
@@ -197,18 +198,18 @@ def batched_projector(
     transpose, ((xᵀ / W) S) G⁻¹ Sᵀ, so that the transpose of a row-major
     block (the temporal step's) is projected without a copy.
     """
-    S = structure.summing_dense
     H = structure.constraint_dense
+    k, r = H.shape
+    c = r - k
     W = np.asarray(weights, dtype=float)
-    if W.ndim != 2 or W.shape[0] != S.shape[0]:
-        raise ValidationError(f"weights of shape {W.shape} need {S.shape[0]} rows")
+    if W.ndim != 2 or W.shape[0] != r:
+        raise ValidationError(f"weights of shape {W.shape} need {r} rows")
     if not np.all(np.isfinite(W)) or np.any(W <= 0):
         raise ValidationError("weights must be positive and finite")
-    if H.shape[0] == 0:  # no constraints: everything is already coherent
+    if k == 0:  # no constraints: everything is already coherent
         return lambda X: np.array(X, dtype=float)
     if np.all(W == W[:, :1]):  # one weight shared by every column: one Gram
         W = W[:, :1]
-    (r, c), k = S.shape, H.shape[0]
     if k < c:
         inverse = _gram_stack_inverse(H, W, "constraint Gram matrix")
 
@@ -219,6 +220,7 @@ def batched_projector(
             return np.subtract(X, Y, out=Y)
 
     else:
+        S = structure.summing_dense
         inverse = _gram_stack_inverse(S.T, 1.0 / W, "structural Gram matrix")
 
         def project(X):

@@ -43,11 +43,8 @@ from .projection import batched_projector, cross_temporal_projector
 
 ITERATIVE_DEFAULT_DELTA = 1e-6
 ITERATIVE_DEFAULT_MAX_ITER = 100
-METHODS = (
-    "cs", "te", "oct", "seq-cst", "seq-tcs", "ka-cst", "ka-tcs", "ite-cst", "ite-tcs",
-)
 # method: (cross-sectional constraints hold, temporal constraints hold)
-COHERENCE_PROFILE = {
+METHODS = {
     "cs": (True, False),
     "te": (False, True),
     "oct": (True, True),
@@ -119,7 +116,9 @@ class ReconcileReport:
 
 
 class _Meter:
-    """Wall time plus best-effort peak-allocation tracking."""
+    """Wall time plus best-effort peak-allocation tracking: the traced peak
+    above the traced size at entry. An outer tracemalloc session's peak is
+    reset."""
 
     def __init__(self, memory: bool):
         self.memory = memory
@@ -133,13 +132,14 @@ class _Meter:
                 tracemalloc.reset_peak()
             else:
                 tracemalloc.start()
+            self._base = tracemalloc.get_traced_memory()[0]
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
         self.elapsed = time.perf_counter() - self._t0
         if self.memory:
-            self.peak = tracemalloc.get_traced_memory()[1]
+            self.peak = tracemalloc.get_traced_memory()[1] - self._base
             if not self._nested:
                 tracemalloc.stop()
         return False
@@ -324,12 +324,9 @@ def prepare(
     ``delta`` (positive and finite), ``max_iter`` and ``keep_iterates``
     concern the ``ite-*`` methods only.
     """
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
     kind, _, order = method.partition("-")
-    if kind in ("seq", "ka", "ite"):
-        if order not in ("cst", "tcs"):
-            raise ValidationError(f"order must be 'cst' or 'tcs', got {order!r}")
-    elif method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
     if kind == "ite":
         if not 0 < delta < math.inf:  # NaN fails both comparisons
             raise ValidationError(f"delta must be positive and finite, got {delta}")

@@ -16,9 +16,7 @@ import numpy as np
 from .covariance import ResidualSet, sigma_ols, sigma_wlsv
 from .errors import ValidationError
 from .hierarchy import CrossTemporalStructure
-from .reconcile import (
-    COHERENCE_PROFILE, METHODS, ForecastBlock, frobenius_gap, prepare, sntz,
-)
+from .reconcile import METHODS, ForecastBlock, frobenius_gap, prepare, sntz
 from .reference import structural_projector, zero_projector
 from .simulate import random_structure
 
@@ -229,8 +227,7 @@ def check_coherence_profile(seed: int = 0, tol: float = 1e-8) -> CheckResult:
     ct = random_structure(rng, max_series=12, max_upper=4, m_choices=(12,))
     block = _noisy_block(rng, ct, scale=5.0)
     sigma = sigma_wlsv(ct, _scaled_residuals(rng, ct, 12))
-    for method in METHODS:
-        cs_hold, te_hold = COHERENCE_PROFILE[method]
+    for method, (cs_hold, te_hold) in METHODS.items():
         run = prepare(method, ct, sigma, delta=1e-10, max_iter=20000)(block)
         bound = tol * max(1.0, float(np.abs(run.block.values).max()))
         for held, residual in ((cs_hold, run.coherence[0]), (te_hold, run.coherence[1])):

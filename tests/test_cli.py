@@ -396,7 +396,7 @@ def test_every_method_writes_reports_the_reader_accepts(workdir, method):
         "--history", sim / "history.csv",
     ]
     flag_sets = [(), ("--timings", "--memory")]
-    if all(reconcile.COHERENCE_PROFILE.get(method, (True, True))):
+    if all(reconcile.METHODS.get(method, (True, True))):
         flag_sets.append(("--sntz", "--timings"))
     for flags in flag_sets:
         out = workdir / ("out" + "".join(flags))

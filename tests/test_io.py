@@ -273,6 +273,57 @@ def test_a_keyed_csv_is_split_once_and_its_numbers_parsed_from_that_split(
     assert reader.call_count == (1 if "t,ot" in labels else 0)
 
 
+def _keyed_lines(tmp_path, labels, origins=2):
+    """A forecast file of ``origins`` all-ones blocks over one total (labelled
+    ``labels[0]``) and two bottoms, as its lines, plus its structure."""
+    ct = build_ct(build_cs(np.array([[1.0, 1.0]]), labels), build_te([2, 1]))
+    path = tmp_path / "blocks.csv"
+    write_blocks_csv(path, [ForecastBlock(np.ones((3, 3)), ct, str(o)) for o in range(origins)])
+    return path, path.read_text().split("\n"), ct
+
+
+@pytest.mark.parametrize("labels", [["t,ot", "a", "b"], ["tot", "a", "b"]])
+def test_a_keyed_csv_names_its_first_faulty_line_however_it_is_split(tmp_path, labels):
+    # a bad number on line 3 and a 200 000-digit cell on line 7: the quoted
+    # file (csv module) and the plain one (str.split) both name line 3, then
+    # line 7 once line 3 is mended
+    path, lines, ct = _keyed_lines(tmp_path, labels, origins=3)
+    lines[2] = lines[2].replace("1.0", "x", 1)
+    lines[6] = lines[6].replace("1.0", "1" * 200_000, 1)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValidationError, match=r"blocks\.csv:3: bad number"):
+        read_blocks_csv(path, ct)
+    lines[2] = lines[2].replace("x", "1.0", 1)
+    path.write_text("\n".join(lines))
+    with pytest.raises(
+        ValidationError, match=r"blocks\.csv:7: field larger than field limit \(131072\)$"
+    ):
+        read_blocks_csv(path, ct)
+
+
+@pytest.mark.parametrize("labels", [["t,ot", "a", "b"], ["tot", "a", "b"]])
+def test_the_field_limit_applies_to_every_cell_of_a_keyed_csv(tmp_path, labels):
+    # numpy reads a 200 003-character 0.000...01 as a number; the csv module
+    # refuses any cell over 131 072 characters, so both splits refuse it,
+    # in a value, a key or the header, and both take a cell at the limit
+    limit = csv.field_size_limit()
+    path, lines, ct = _keyed_lines(tmp_path, labels)
+    at_limit = "0." + "0" * (limit - 3) + "1"
+    path.write_text("\n".join(lines).replace("1.0", at_limit, 1))
+    assert read_blocks_csv(path, ct)[0].values[0, 0] == float(at_limit)
+    over = "0." + "0" * 200_000 + "1"
+    for line, text in [
+        (4, "\n".join(lines[:3] + [lines[3].replace("1.0", over, 1)] + lines[4:])),
+        (3, "\r\n".join(lines[:2] + ["0" * (limit + 1) + lines[2][1:]] + lines[3:])),
+        (1, "\n".join([lines[0] + "1" * limit] + lines[1:])),
+    ]:
+        path.write_text(text, newline="")
+        with pytest.raises(
+            ValidationError, match=rf"blocks\.csv:{line}: field larger than field limit"
+        ):
+            read_blocks_csv(path, ct)
+
+
 def test_reading_residuals_peaks_below_2_6_times_the_file(tmp_path):
     # the text is dropped once split and the blocks go to ResidualSet as one
     # array, so the peak stays near twice the file (~2.4x)

@@ -9,7 +9,6 @@ from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
 from ctrec.errors import SingularSystemError, ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.reconcile import (
-    COHERENCE_PROFILE,
     METHODS,
     ForecastBlock,
     baseline_bu,
@@ -20,6 +19,7 @@ from ctrec.reconcile import (
     sntz,
 )
 from ctrec.reference import structural_projector, zero_projector
+from ctrec.simulate import pv324_structure
 from ctrec.verify import check_coherence_profile
 from helpers import random_structure, run_method, toy_ct
 
@@ -263,7 +263,7 @@ def test_iterative_flags_non_convergence_but_returns_result():
 def test_iterative_validates_arguments():
     block = toy_block()
     sig = sigma_ols(block.structure)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unknown method 'ite-both'; choose from"):
         run_method("ite-both", block, sig, sig)
     for delta in (0.0, -1e-6, np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="positive and finite"):
@@ -371,8 +371,7 @@ def test_coherence_profile_matches_constraint_grid():
 
 
 def test_verify_coherence_profile_covers_every_method():
-    # a method left out of the table would escape the profile check
-    assert set(COHERENCE_PROFILE) == set(METHODS)
+    # the profile check walks METHODS, the one table of methods
     assert check_coherence_profile().passed
 
 
@@ -521,6 +520,34 @@ def test_prepare_raises_a_weight_fault_before_any_block():
     singular[0, -1] = 1e-20  # one finest cell dominates its series' temporal Gram
     with pytest.raises(SingularSystemError, match="temporal structural Gram matrix"):
         prepare("oct", ct, singular)
+
+
+@pytest.mark.parametrize("method", ["oct", "cs", "seq-cst", "ka-tcs", "ite-tcs"])
+def test_the_constraint_form_never_builds_the_cross_sectional_summing_matrix(method):
+    # 2 uppers over 5 bottoms: every cross-sectional projection takes the
+    # constraint form, which reads only the constraint matrix
+    ct = build_ct(build_cs(np.array([[1.0] * 5, [1.0, 1.0, 0, 0, 0]])), build_te([4, 2, 1]))
+    rng = np.random.default_rng(5)
+    weights = np.repeat(rng.uniform(0.5, 2.0, size=(ct.n_series, 3)), [1, 2, 4], axis=1)
+    prepare(method, ct, weights)(ForecastBlock(rng.normal(size=weights.shape), ct))
+    assert "summing_dense" not in ct.cs.__dict__
+
+
+def test_traced_peaks_exclude_an_outer_sessions_memory():
+    import tracemalloc
+
+    ct = pv324_structure()
+    run = prepare("oct", ct, sigma_ols(ct), measure_memory=True)
+    block = random_block(np.random.default_rng(6), ct)
+    tracemalloc.start()
+    try:
+        held = np.ones(10_000_000)  # 80 MB traced before the origin runs
+        report = run(block)
+        assert tracemalloc.is_tracing()  # the outer session goes on
+    finally:
+        tracemalloc.stop()
+    assert held.nbytes == 80_000_000
+    assert 0 < report.peak_mem < 10_000_000
 
 
 def test_degenerate_single_order_grid():
