@@ -32,10 +32,10 @@ from .reconcile import ForecastBlock, ReconcileReport
 
 @contextmanager
 def open_input(path):
-    """Open an input file for reading; a missing, unreadable or undecodable
-    file raises ValidationError naming it."""
+    """Open an input file for reading as UTF-8, less a leading byte-order mark;
+    a missing, unreadable or undecodable file raises ValidationError naming it."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         reason = getattr(exc, "strerror", None) or exc
         raise ValidationError(f"cannot read {path}: {reason}")
@@ -47,11 +47,13 @@ def open_input(path):
 
 
 def _csv_rows(path, lines):
-    """The csv module's rows of ``lines``; a line it rejects (one holding a
-    cell over its field size limit) raises ValidationError naming it."""
+    """(line number, cells) for each of the csv module's records of ``lines``,
+    numbered by the line it ends on; a line it rejects (one holding a cell
+    over its field size limit) raises ValidationError naming it."""
     reader = csv.reader(lines)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}")
 
@@ -186,8 +188,8 @@ def read_hierarchy_file(path) -> tuple[np.ndarray, list[str], list[int]]:
     matrix_path: Path | None = None
     keys: set[str] = set()
     with open_input(path) as fh:
-        text = fh.read()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+        lines = fh.readlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -243,11 +245,11 @@ def read_hierarchy_file(path) -> tuple[np.ndarray, list[str], list[int]]:
 def _read_weight_matrix(path: Path):
     with open_input(path) as fh:
         rows = list(_csv_rows(path, fh))
-    if len(rows) < 2 or len(rows[0]) < 2:
+    if len(rows) < 2 or len(rows[0][1]) < 2:
         raise ValidationError(f"{path}: weight matrix needs a header and rows")
-    bottom_labels = [c.strip() for c in rows[0][1:]]
+    bottom_labels = [c.strip() for c in rows[0][1][1:]]
     uppers, weights = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) != len(bottom_labels) + 1:
@@ -318,15 +320,17 @@ def write_blocks_csv(path, blocks: Sequence[ForecastBlock]) -> None:
 
 
 def _split_rows(lines):
-    """Each line's key cells and value text, as the csv module splits a line
-    with no quote. A CRLF end stays in the value text: numpy reads it as the
-    end of the line."""
-    for line in lines:
+    """(line number, cells) for each of ``lines``, as the csv module splits a
+    line with no quote: every cell of the header, then each later line's two
+    key cells and its value text. A CRLF end stays in the value text: numpy
+    reads it as the end of the line."""
+    yield 1, next(lines).removesuffix("\r").split(",")
+    for lineno, line in enumerate(lines, start=2):
         row = line.split(",", 2)
         if len(row) < 3:  # a blank or short line: the line end is in a key
             line = line.removesuffix("\r")
             row = line.split(",") if line else []
-        yield row
+        yield lineno, row
 
 
 def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> tuple[list, np.ndarray]:
@@ -337,27 +341,23 @@ def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> tuple[list, n
     faulty row in file order is named as ``file:line``: a short row, a
     repeated (origin, series), an unknown series, any cell over the csv
     module's size limit, a wrong width or a bad number. An origin missing a
-    series is an error naming the file. The text is split once: by the csv
-    module when it holds a quote or a bare carriage return, otherwise by
-    ``str.split``, which gives the same cells and faults.
+    series is an error naming the file. The text is split once: by
+    ``str.split``, which gives the csv module's cells and faults, when it is
+    plain (no quote, no carriage return outside a CRLF end, none of
+    ``\\x1c``-``\\x1f`` and no line over the csv module's field size
+    limit), otherwise by the csv module.
     """
     with open_input(path) as fh:
         text = fh.read()
-    lines = None if '"' in text else text.split("\n")
-    # plain when every carriage return ends a line: one scan of the text
-    plain = lines is not None and text.count("\r") == sum(
-        line.endswith("\r") for line in lines[:-1]
+    lines = None if any(c in text for c in '"\x1c\x1d\x1e\x1f') else text.split("\n")
+    plain = (  # every carriage return in a CRLF end, no line over the field limit
+        lines is not None
+        and text.count("\r") == sum(line.endswith("\r") for line in lines[:-1])
+        and max(map(len, lines)) <= csv.field_size_limit()
     )
-    limit = csv.field_size_limit()
-    if plain:
-        lines = iter(lines)  # exhausted, it frees the lines
-        header, rows = next(lines).removesuffix("\r").split(","), _split_rows(lines)
-        if max(map(len, header)) > limit:
-            raise ValidationError(f"{path}:1: field larger than field limit ({limit})")
-    else:
-        rows = _csv_rows(path, StringIO(text, newline=""))
-        header = next(rows, None)
-    del text  # only its split is read from here on
+    rows = _split_rows(iter(lines)) if plain else _csv_rows(path, StringIO(text, newline=""))
+    del text, lines  # only the split is read on; exhausted, the line iterator frees the lines
+    _, header = next(rows, (0, None))
     if header is None or header[:2] != ["origin", "series"]:
         raise ValidationError(f"{path}: expected header origin,series,...")
     check_columns(header[2:])
@@ -366,13 +366,10 @@ def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> tuple[list, n
     kept: dict[tuple[str, str], tuple[int, list[str]]] = {}  # key -> (line, row)
     fault = None
     try:  # the csv module raises at a line holding a cell over its limit
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
-            if plain and max(map(len, row)) > limit and max(  # split as the csv module does
-                    map(len, ",".join(row).removesuffix("\r").split(","))) > limit:
-                fault = f"field larger than field limit ({limit})"
-            elif len(row) < 2:
+            if len(row) < 2:
                 fault = "expected origin,series,values..."
             elif (row[0], row[1]) in kept:
                 fault = f"duplicate row for origin {row[0]!r}, series {row[1]!r}"
@@ -405,13 +402,12 @@ def _read_keyed_csv(path, labels: Sequence[str], check_columns) -> tuple[list, n
 def _numbers(path, rows, width: int, plain: bool) -> np.ndarray:
     """The numbers of ``rows``, (line number, row) pairs: the csv module's
     cells, or in a plain file the two keys and the value text. A number is
-    what ``float`` accepts. One ``np.loadtxt`` call parses a plain file's
-    value texts; the rows are parsed with ``float``, in line order, when the
-    csv module split them, when numpy rejects the texts or skips a blank
-    one, and when they hold one of ``\\x1c``-``\\x1f``: blanks to numpy, not
-    to float (over every code point, the only cells numpy accepts and float
-    rejects)."""
-    if plain and not any(c in row[-1] for _, row in rows for c in "\x1c\x1d\x1e\x1f"):
+    what ``float`` accepts, and a plain file holds none of ``\\x1c``-``\\x1f``
+    (blanks to numpy, faults to float). One ``np.loadtxt`` call parses a plain
+    file's value texts; the rows are parsed with ``float``, in line order,
+    when the csv module split them and when numpy rejects the texts or skips
+    a blank one."""
+    if plain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns when every line is blank
             try:
@@ -501,8 +497,8 @@ def read_levels_csv(path, ct: CrossTemporalStructure) -> tuple[str, ...]:
     known = set(ct.cs.labels)
     mapping: dict[str, str] = {}
     with open_input(path) as fh:
-        for lineno, row in enumerate(_csv_rows(path, fh), start=1):
-            if not row or (lineno == 1 and row[0] == "series"):
+        for record, (lineno, row) in enumerate(_csv_rows(path, fh)):
+            if not row or (record == 0 and row[0] == "series"):  # the header
                 continue
             if len(row) < 2:
                 raise ValidationError(f"{path}:{lineno}: expected series,level")

@@ -164,14 +164,6 @@ def _sigma_name(sigma) -> str:
     return "custom"
 
 
-def _sigma_flags(*sigmas) -> tuple[str, ...]:
-    return tuple(
-        "variance-floor"
-        for s in sigmas
-        if isinstance(s, DiagonalSigma) and s.floored
-    )
-
-
 def _cells(ct: CrossTemporalStructure, sigma) -> np.ndarray:
     """A strategy's weights as one (n, q) table mirroring a forecast block.
 
@@ -314,13 +306,15 @@ def prepare(
     ``sigma`` weighs the cross-sectional step (and ``oct``), ``sigma_te``
     the temporal one (default: ``sigma``). Everything that depends only on
     the weights — the projectors and their factorizations, ``ka``'s
-    averaged matrix — is built here, once, so its faults (a misshapen
-    table, ``ka``'s per-order check, a singular system) raise before any
-    origin runs; the returned callable only applies that immutable build,
-    and concurrent origins may share it. Reports carry the build's cost as
-    ``prepare_s`` and ``prepare_peak_mem``, the apply's as ``elapsed`` and
-    ``peak_mem``. tracemalloc is process-wide, so ``measure_memory``'s
-    traced peaks need one worker: one origin at a time.
+    averaged matrix, whether a covariance the method uses had a cell
+    floored (a report then carries ``variance-floor`` once) — is worked out
+    here, once, so its faults (a misshapen table, ``ka``'s per-order check,
+    a singular system) raise before any origin runs; the returned callable
+    only applies that immutable build, and concurrent origins may share it.
+    Reports carry the build's cost as ``prepare_s`` and
+    ``prepare_peak_mem``, the apply's as ``elapsed`` and ``peak_mem``.
+    tracemalloc is process-wide, so ``measure_memory``'s traced peaks need
+    one worker: one origin at a time.
     ``delta`` (positive and finite), ``max_iter`` and ``keep_iterates``
     concern the ``ite-*`` methods only.
     """
@@ -342,6 +336,7 @@ def prepare(
         covariance = _sigma_name(weights[0])
     else:
         covariance = f"cs={_sigma_name(sigma)},te={_sigma_name(sigma_te)}"
+    floored = any(isinstance(s, DiagonalSigma) and s.floored for s in weights)
     with _Meter(measure_memory) as build:
         built = _build(kind, order, ct, sigma, sigma_te)
 
@@ -363,7 +358,7 @@ def prepare(
         # memory layout the last step returned (a te step returns a view)
         out = block.with_values(values)
         coherence = ct.coherence_residuals(out.values)
-        flags = list(_sigma_flags(*weights))
+        flags = ["variance-floor"] if floored else []
         if kind == "ka" and max(coherence) > 1e-8 * max(1.0, float(np.abs(values).max())):
             flags.append("ka-incoherent")
         if not converged:

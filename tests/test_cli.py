@@ -15,7 +15,15 @@ import ctrec.projection as projection
 import ctrec.reconcile as reconcile
 from ctrec.cli import main
 from ctrec.hierarchy import build_cs, build_ct, build_te
-from ctrec.io import read_blocks_csv, read_hierarchy_file, read_reports_jsonl
+from ctrec.covariance import ResidualSet
+from ctrec.io import (
+    read_blocks_csv,
+    read_hierarchy_file,
+    read_reports_jsonl,
+    write_blocks_csv,
+    write_residuals_csv,
+)
+from ctrec.reconcile import ForecastBlock
 from ctrec.simulate import simulate_dataset
 
 TOY_HIERARCHY = """\
@@ -405,6 +413,25 @@ def test_every_method_writes_reports_the_reader_accepts(workdir, method):
         assert ("delta" in record) == method.startswith("ite-")
         assert ("elapsed" in record) == ("--timings" in flags)
         assert ("peak_mem" in record) == ("--memory" in flags)
+
+
+def test_a_floored_covariance_is_flagged_once_in_reports_jsonl(tmp_path):
+    # series a has zero residuals, so wlsv floors its cells; seq-cst weighs
+    # both of its steps with that one covariance
+    (tmp_path / "hier.txt").write_text("orders = 2,1\ntot: a, b\n")
+    ct = build_ct(build_cs(np.array([[1.0, 1.0]]), ["tot", "a", "b"]), build_te([2, 1]))
+    rng = np.random.default_rng(6)
+    write_blocks_csv(tmp_path / "base.csv", [ForecastBlock(rng.normal(size=(3, 3)), ct, "0")])
+    residuals = rng.normal(size=(5, 3, 3))
+    residuals[:, 1] = 0.0
+    write_residuals_csv(tmp_path / "res.csv", ResidualSet(residuals), ct)
+    assert run(
+        ["reconcile", "--hierarchy", tmp_path / "hier.txt", "--input", tmp_path / "base.csv",
+         "--method", "seq-cst", "--cov", "wlsv", "--residuals", tmp_path / "res.csv",
+         "--out", tmp_path / "out"]
+    ) == 0
+    (record,) = read_reports_jsonl(tmp_path / "out" / "reports.jsonl")
+    assert record["flags"] == ["variance-floor"]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ Examples are derandomized so the suite stays deterministic.
 import csv
 import io
 import json
+import re
 from io import StringIO
 from typing import Iterable, Mapping, Sequence
 from unittest import mock
@@ -30,6 +31,7 @@ from ctrec.io import (
     read_blocks_csv,
     read_hierarchy_file,
     read_history_csv,
+    read_levels_csv,
     read_reports_jsonl,
     read_residuals_csv,
     report_dict,
@@ -167,7 +169,7 @@ def test_blocks_and_residuals_csv_parse_or_raise_validation_error(scratch, heade
 
 # The line reader that the keyed-CSV reader replaced, kept as the oracle of
 # the parity tests below: it reads row by row with the csv module and float,
-# and names the first faulty line.
+# and names the first faulty line: the line on which its record ends.
 
 
 def _row_key(
@@ -208,7 +210,8 @@ def _read_block_rows(path, text: str, ct):
         raise ValidationError(
             f"{path}: position columns {header[2:]} != canonical {expected}"
         )
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the line the record ends on
         if not row:
             continue
         origin, series = _row_key(path, lineno, row, seen)
@@ -258,7 +261,8 @@ def _line_read_history(path, ct):
             raise ValidationError(
                 f"{path}: history has {width} columns, needs at least {ct.te.m}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the line the record ends on
             if not row:
                 continue
             origin, series = _row_key(path, lineno, row, seen)
@@ -365,6 +369,8 @@ def _outcome(read, path, ct=CT):
 @example(text=_file(_with("0,a,\x1f1.0,0.5,0.5")))
 @example(text=_file(_with('0,a,"1,0",0.5,0.5')))  # a comma inside a quoted cell
 @example(text=_file(_with('0,a,"1.0\n",0.5,0.5')))  # a line break inside one
+@example(text=_file(_with('0,a,"1.0\n",0.5,0.5') + ["2,c,1,1,1"]))  # line 9, record 8
+@example(text=_file(_with("1,tot,x,2.0,-1.999", 4), "\r"))  # bare carriage-return ends
 @example(text=_file(_with("0,a,x,0.5,0.5", 1) + ["2,c,1,1,1"]))  # bad number first
 @example(text=_file(_with("2,c,1,1,1", 1) + ["0,a,x,0.5,0.5"]))  # bad key first
 def test_vectorized_reader_matches_the_line_reader(scratch, text):
@@ -525,6 +531,40 @@ def test_arbitrary_bytes_parse_or_raise_validation_error(scratch, data):
         read_hierarchy_file(path)
     except ValidationError:
         pass
+
+
+# Line numbers: a reader that names a line names one the file has, counting
+# a line end at \n, \r\n or \r as the file object does under newline="".
+TEXT_PIECE = st.one_of(
+    st.sampled_from([
+        ",".join(BLOCK_HEADER), "0,tot,1,1,1", "0,a,1,1,1", "0,b,x,1,1", "0,zz,1,1,1",
+        "series,level", "tot,L0", "a,L1", "zz,L1", "orders = 2,1", "tot: a, b", "zz",
+        '"0\n"', '"', ",", "\n", "\r\n", "\r",
+    ]),
+    st.text(alphabet='ab0,":=#\n\r\x0b\x0c\x1c\x1f\x85\u2028 ', max_size=4),
+)
+
+
+@settings(FUZZ, max_examples=200)
+@given(text=st.lists(TEXT_PIECE, max_size=12).map("".join))
+@example(text='origin,series,k2_1,k1_1,k1_2\n"0\n",tot,1,1,1\n"0\n",a,1,1,1\n"0\n",b,x,1,1\n')
+@example(text='series,level\n"tot",top\na,"bot\ntom"\nzz,b\n')
+@example(text="orders = 2,1\ntot: a\x1cx, b\nzz\n")
+def test_a_named_line_is_a_line_of_the_file(scratch, text):
+    path = scratch / "lines.txt"
+    path.write_bytes(text.encode())
+    n_lines = len(io.StringIO(text, newline="").readlines())
+    for read in (
+        lambda: read_blocks_csv(path, CT),
+        lambda: read_levels_csv(path, CT),
+        lambda: read_hierarchy_file(path),
+    ):
+        try:
+            read()
+        except ValidationError as exc:
+            named = re.match(re.escape(f"{path}:") + r"(\d+):", str(exc))
+            if named:
+                assert 1 <= int(named[1]) <= n_lines
 
 
 def _has_type(kind: str, value) -> bool:

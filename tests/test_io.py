@@ -324,6 +324,123 @@ def test_the_field_limit_applies_to_every_cell_of_a_keyed_csv(tmp_path, labels):
             read_blocks_csv(path, ct)
 
 
+# A line ends at \n, \r\n or \r, and a record is named by the line it ends on.
+TOT_A_B = build_ct(build_cs(np.array([[1.0, 1.0]]), ["tot", "a", "b"]), build_te([2, 1]))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=repr)
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("b,x,1,1", "bad number"),
+        ("b,1,1", "series 'b' has 2 values, expected 3"),
+        ("c,1,1,1", "unknown series 'c'"),
+        ("a,1,1,1", "duplicate row for origin '0\n', series 'a'"),
+    ],
+    ids=["number", "width", "series", "duplicate"],
+)
+def test_a_keyed_csv_names_the_line_after_quoted_line_breaks(tmp_path, newline, row, message):
+    # each "0<line end>" origin spans two lines: the faulty row ends on line 7
+    path = tmp_path / "ml.csv"
+    rows = ["tot,1,1,1", "a,1,1,1", row]
+    text = "origin,series,k2_1,k1_1,k1_2\n" + "".join(f'"0\n",{r}\n' for r in rows)
+    path.write_text(text.replace("\n", newline), newline="")
+    message = message.replace("\n", repr(newline)[1:-1])
+    with pytest.raises(ValidationError, match=rf"^{re.escape(f'{path}:7: {message}')}"):
+        read_blocks_csv(path, TOT_A_B)
+
+
+def test_a_level_map_names_the_line_after_a_quoted_line_break(tmp_path):
+    path = tmp_path / "lv.csv"
+    path.write_text('series,level\n"tot",top\na,"bot\ntom"\nzz,b\n')
+    with pytest.raises(ValidationError, match=r"lv\.csv:5: series 'zz' is not in the hierarchy"):
+        read_levels_csv(path, TOT_A_B)
+    # the first record is the optional header, whatever line it ends on
+    path.write_text('series,"le\nvel"\ntot,top\na,"bot\ntom"\nb,bottom\n')
+    assert read_levels_csv(path, TOT_A_B) == ("top", "bot\ntom", "bottom")
+
+
+@pytest.mark.parametrize("char", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", ids=repr)
+def test_a_hierarchy_file_breaks_lines_only_at_line_ends(tmp_path, char):
+    # str.splitlines() would break at each of these; the file does not
+    path = tmp_path / "h.txt"
+    path.write_text(f"orders = 2,1\ntot: a{char}x, b\nzz\n", newline="")
+    with pytest.raises(ValidationError, match=r"h\.txt:3: unparsable line 'zz'$"):
+        read_hierarchy_file(path)
+    path.write_text(f"orders = 2,1\rtot: a{char}x, b\r", newline="")
+    assert read_hierarchy_file(path)[1] == ["tot", f"a{char}x", "b"]
+
+
+def test_a_weight_matrix_names_the_line_after_a_quoted_line_break(tmp_path):
+    (tmp_path / "w.csv").write_text('series,a,b\n"to\ntal",1,1\nhalf,x,0\n')
+    spec = tmp_path / "hier.txt"
+    spec.write_text("orders = 2,1\nmatrix = w.csv\n")
+    with pytest.raises(ValidationError, match=r"w\.csv:4: bad weight"):
+        read_hierarchy_file(spec)
+    (tmp_path / "w.csv").write_text('series,a,b\n"to\ntal",1,1\nhalf,0.5,0\n')
+    assert read_hierarchy_file(spec)[1] == ["to\ntal", "half", "a", "b"]
+
+
+def test_a_lowered_field_limit_splits_long_lines_and_names_long_cells_alike(tmp_path):
+    # under a 40-character limit every line of this file is longer than the
+    # limit and every cell shorter: the csv module splits it, to the same
+    # array; a 50-character cell is named on its line in the plain file and
+    # in its quoted twin alike
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(3, 3, 3))
+    over = "0." + "0" * 47 + "1"
+    outcomes = []
+    for labels in (["tot", "a", "b"], ["t,ot", "a", "b"]):
+        ct = build_ct(build_cs(np.array([[1.0, 1.0]]), labels), build_te([2, 1]))
+        path = tmp_path / "blocks.csv"
+        write_blocks_csv(path, [ForecastBlock(v, ct, str(o)) for o, v in enumerate(values)])
+        default = [b.values for b in read_blocks_csv(path, ct)]
+        limit = csv.field_size_limit(40)
+        try:
+            with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+                lowered = [b.values for b in read_blocks_csv(path, ct)]
+            assert reader.call_count == 1
+            assert np.array_equal(lowered, default)
+            assert np.array_equal(default, values)
+            lines = path.read_text().split("\n")
+            cells = lines[5].split(",")  # origin 1, series a
+            lines[5] = ",".join(cells[:3] + [over] + cells[4:])
+            path.write_text("\n".join(lines))
+            with pytest.raises(ValidationError) as caught:
+                read_blocks_csv(path, ct)
+            outcomes.append(str(caught.value))
+        finally:
+            csv.field_size_limit(limit)
+        assert read_blocks_csv(path, ct)[1].values[1, 1] == float(over)
+    assert outcomes == [f"{path}:6: field larger than field limit (40)"] * 2
+
+
+def test_inputs_that_start_with_a_byte_order_mark_read_like_the_originals(tmp_path):
+    ct = toy_ct((2, 1))
+    rng = np.random.default_rng(9)
+    blocks = [ForecastBlock(rng.normal(size=(3, 3)), ct, str(o)) for o in range(2)]
+    write_blocks_csv(tmp_path / "base.csv", blocks)
+    write_reports_jsonl(tmp_path / "reports.jsonl", [run_method("oct", blocks[0], sigma_ols(ct))])
+    (tmp_path / "hier.txt").write_text("orders = 2,1\nu1: b1, b2\n")
+    (tmp_path / "levels.csv").write_text("series,level\nu1,L0\nb1,L1\nb2,L1\n")
+    readers = {
+        "hier.txt": read_hierarchy_file,
+        "base.csv": lambda path: [(b.origin_id, b.values.tolist()) for b in read_blocks_csv(path, ct)],
+        "levels.csv": lambda path: read_levels_csv(path, ct),
+        "reports.jsonl": read_reports_jsonl,
+    }
+    for name, read in readers.items():
+        original = tmp_path / name
+        assert not original.read_bytes().startswith(b"\xef\xbb\xbf")  # outputs carry none
+        twin = tmp_path / f"bom-{name}"
+        twin.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        before, after = read(original), read(twin)
+        if name == "hier.txt":
+            assert np.array_equal(before[0], after[0]) and before[1:] == after[1:]
+        else:
+            assert before == after
+
+
 def test_reading_residuals_peaks_below_2_6_times_the_file(tmp_path):
     # the text is dropped once split and the blocks go to ResidualSet as one
     # array, so the peak stays near twice the file (~2.4x)

@@ -579,6 +579,27 @@ def test_constant_residuals_floor_flag_surfaces_and_methods_still_work():
     assert max(out.coherence) <= 1e-8 * max(1.0, np.abs(out.block.values).max())
 
 
+def _floored_on_series_a():
+    """tot = a + b at orders 2, 1 and a wlsv covariance from five residual
+    origins in which series a is all zero, so its cells are floored."""
+    ct = build_ct(build_cs(np.array([[1.0, 1.0]]), ["tot", "a", "b"]), build_te([2, 1]))
+    residuals = np.random.default_rng(4).normal(size=(5, 3, 3))
+    residuals[:, 1] = 0.0
+    return ct, sigma_wlsv(ct, ResidualSet(residuals))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_floored_covariance_flags_a_report_once(method):
+    # one floored covariance weighs both steps: the flag is a fact about the
+    # weights, not one entry per step
+    ct, sig = _floored_on_series_a()
+    assert sig.floored
+    block = random_block(np.random.default_rng(5), ct)
+    report = run_method(method, block, sig)
+    assert report.flags.count("variance-floor") == 1
+    assert report.flags[0] == "variance-floor"
+
+
 def test_forecast_block_round_trip_and_validation():
     ct = toy_ct((2, 1))
     with pytest.raises(ValidationError):
