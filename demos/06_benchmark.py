@@ -3,7 +3,9 @@
 
 Each combination is prepared once for the batch (`ctrec.prepare`), as
 `ctrec reconcile` does: its projectors are built and factored there, before
-any origin, and every origin only applies them. Each report carries the
+any origin, and every origin only applies them. Everything runs inside one
+tracemalloc session, as in `ctrec bench`; every build and apply reads its
+traced peak from it. Each report carries the
 build's time as `prepare_s` and its own apply as `elapsed`, so the median
 over the origins is the warm per-origin cost, printed next to the one-off
 build. Warm, the one-shot solve is the cheapest. Once per batch it
@@ -17,6 +19,7 @@ weights that make it collapse, a few under variance-scaled ones. On a
 and `ite-tcs` (1 and 2 cycles), and traced peaks of 0.3–0.7 MB.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 from ctrec import (
@@ -39,18 +42,20 @@ data = simulate_dataset(ct, n_origins=REPS, n_residual_origins=20, noise_sd=0.5,
 ols = sigma_ols(ct)
 wlsv = sigma_wlsv(ct, data.residuals)
 
+tracemalloc.start()
 combinations = {
-    "ite-tcs[ols]": prepare("ite-tcs", ct, ols, measure_memory=True),
-    "ite-tcs[wlsv]": prepare("ite-tcs", ct, wlsv, max_iter=1000, measure_memory=True),
-    "ka-tcs[wlsv]": prepare("ka-tcs", ct, wlsv, measure_memory=True),
-    "oct[ols]": prepare("oct", ct, ols, measure_memory=True),
-    "oct[wlsv]": prepare("oct", ct, wlsv, measure_memory=True),
+    "ite-tcs[ols]": prepare("ite-tcs", ct, ols),
+    "ite-tcs[wlsv]": prepare("ite-tcs", ct, wlsv, max_iter=1000),
+    "ka-tcs[wlsv]": prepare("ka-tcs", ct, wlsv),
+    "oct[ols]": prepare("oct", ct, ols),
+    "oct[wlsv]": prepare("oct", ct, wlsv),
 }
 reports = [
     replace(run(block), method=name)  # label rows by combination
     for name, run in combinations.items()
     for block in data.bases
 ]
+tracemalloc.stop()
 
 iters = {r.method: r.iterations for r in reports}
 print("cycles per run:", {k: v for k, v in iters.items() if k.startswith("ite")})

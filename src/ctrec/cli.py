@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -79,28 +80,22 @@ def _strategy(args: argparse.Namespace, ct: CrossTemporalStructure, residuals, h
         raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
     if method in RECONCILE_METHODS:
         sigma = covariance.build_sigma(args.cov.replace("-", "_"), ct, residuals)
-        reconcile = prepare(
-            method, ct, sigma, delta=args.delta, max_iter=args.max_iter,
-            measure_memory=args.memory,
-        )
+        reconcile = prepare(method, ct, sigma, delta=args.delta, max_iter=args.max_iter)
     else:
-        reconcile = _baseline(method, ct, histories, args.memory)
-
-    if not args.sntz:
-        return reconcile
-    return lambda block: sntz(reconcile(block))
+        reconcile = _baseline(method, ct, histories)
+    return (lambda block: sntz(reconcile(block))) if args.sntz else reconcile
 
 
-def _baseline(method: str, ct: CrossTemporalStructure, histories, memory: bool):
-    """The bu / pers-bu baselines as a per-origin callable, timed (and with
-    ``memory``, traced) as ``prepare`` times a reconciling method."""
+def _baseline(method: str, ct: CrossTemporalStructure, histories):
+    """The bu / pers-bu baselines as a per-origin callable, timed (and in a
+    tracemalloc session, traced) as ``prepare`` times a reconciling method."""
 
     def run(block: ForecastBlock) -> ReconcileReport:
         if method == "pers-bu" and (histories is None or block.origin_id not in histories):
             raise ValidationError(
                 f"pers-bu needs --history covering origin {block.origin_id}"
             )
-        with _Meter(memory) as meter:
+        with _Meter() as meter:
             if method == "bu":
                 out = baseline_bu(block)
             else:
@@ -119,12 +114,31 @@ def _baseline(method: str, ct: CrossTemporalStructure, histories, memory: bool):
     return run
 
 
+@contextmanager
+def _traced(on: bool):
+    """A tracemalloc session for the meters inside when ``on``: one already
+    running serves as it is; only one started here is stopped here."""
+    start = on and not tracemalloc.is_tracing()
+    if start:
+        tracemalloc.start()
+    try:
+        yield
+    finally:
+        if start:
+            tracemalloc.stop()
+
+
+def _check_seed(seed: int) -> None:
+    """numpy's generators take no seed below 0."""
+    if seed < 0:
+        raise ValidationError(f"--seed must be at least 0, got {seed}")
+
+
 def cmd_reconcile(args: argparse.Namespace) -> tuple[int, str]:
     if args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     if args.memory and args.threads > 1:
-        # tracemalloc is process-wide: one origin's meter would stop or reset
-        # the trace while another origin is still measuring
+        # traced origins run one at a time (see run_batch): the threads would idle
         raise ValidationError("--memory needs --threads 1: traced peaks are process-wide")
     if args.sntz and not all(RECONCILE_METHODS.get(args.method, (True, True))):
         raise ValidationError(f"--sntz needs a fully coherent method; {args.method} is not")
@@ -132,8 +146,9 @@ def cmd_reconcile(args: argparse.Namespace) -> tuple[int, str]:
     blocks = io.read_blocks_csv(args.input, ct)
     residuals = io.read_residuals_csv(args.residuals, ct) if args.residuals else None
     histories = io.read_history_csv(args.history, ct) if args.history else None
-    strategy = _strategy(args, ct, residuals, histories)
-    reports = run_batch(blocks, strategy, max_workers=args.threads)
+    with _traced(args.memory):
+        strategy = _strategy(args, ct, residuals, histories)
+        reports = run_batch(blocks, strategy, max_workers=args.threads)
     if len(reports) != len(blocks):
         raise ReconciliationError(f"{len(reports)} reports for {len(blocks)} origins")
     io.write_blocks_csv(args.out / "reconciled.csv", [r.block for r in reports])
@@ -145,14 +160,10 @@ def cmd_reconcile(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
+    _check_seed(args.seed)
     ct = _load_structure(args)
-    data = simulate_dataset(
-        ct,
-        n_origins=args.reps,
-        n_residual_origins=args.residual_origins,
-        noise_sd=args.noise,
-        seed=args.seed,
-    )
+    data = simulate_dataset(ct, n_origins=args.reps, n_residual_origins=args.residual_origins,
+                            noise_sd=args.noise, seed=args.seed)
     out = args.out
     io.write_blocks_csv(out / "actuals.csv", data.actuals)
     io.write_blocks_csv(out / "base.csv", data.bases)
@@ -164,6 +175,8 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
+    if not 0 < args.alpha < 1:  # also with one candidate, which has no rank test
+        raise ValidationError(f"--alpha must lie in (0, 1), got {args.alpha}")
     ct = _load_structure(args)
     actuals = io.read_blocks_csv(args.actuals, ct)
     candidates = {}
@@ -195,6 +208,7 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    _check_seed(args.seed)
     from .verify import run_all  # ctrec.reference and scipy load only here
 
     results = run_all(seed=args.seed, instances=args.instances)
@@ -212,7 +226,8 @@ def _names(text: str, option: str) -> list[str]:
 
 def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
     """Timing/memory comparison on a synthetic instance (default: the
-    324-series hourly shape), one line per method x covariance."""
+    324-series hourly shape), one line per method x covariance, all traced."""
+    _check_seed(args.seed)
     methods = _names(args.methods, "--methods")
     covariances = [c.replace("-", "_") for c in _names(args.covs, "--covs")]
     ct = _load_structure(args)
@@ -221,15 +236,16 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
     )
     histories = {b.origin_id: h for b, h in zip(data.bases, data.histories)}
     records = []
-    for cov in covariances:
-        for method in methods:
-            run = _strategy(
-                argparse.Namespace(**vars(args), method=method, cov=cov),
-                ct, data.residuals, histories,
-            )
-            for block in data.bases:
-                record = io.report_dict(run(block), timings=True, memory=True)
-                records.append({**record, "method": f"{method}[{cov}]"})
+    with _traced(True):
+        for cov in covariances:
+            for method in methods:
+                run = _strategy(
+                    argparse.Namespace(**vars(args), method=method, cov=cov),
+                    ct, data.residuals, histories,
+                )
+                for block in data.bases:
+                    record = io.report_dict(run(block), timings=True, memory=True)
+                    records.append({**record, "method": f"{method}[{cov}]"})
     rows = perf_summary(records)
     io.write_perf_csv(args.out / "perf.csv", rows)
     width = max(len(r.method) for r in rows)
@@ -311,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                 structure=False)
     p.add_argument("--seed", type=int, default=0)
     # bench always traces memory (so its timings carry tracemalloc) and never clamps
-    p.set_defaults(memory=True, sntz=False)
+    p.set_defaults(sntz=False)
     p.add_argument("--reps", type=int, default=3, help="origins per combination")
     p.add_argument("--methods", type=str, default="ite-tcs,ite-cst,ka-tcs,ka-cst,oct")
     p.add_argument("--covs", type=str, default="ols,str,wlsv")

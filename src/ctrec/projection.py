@@ -10,6 +10,9 @@ are factored once by a batched Cholesky and applied through the inverse
 built from that factor, with numpy alone; larger ones keep a Cholesky
 factor and solve with it.
 
+The constructors take their weight tables as given, positive and finite
+in the shape each states: ``reconcile.prepare`` checks every table once.
+
 The general sparse projections that the kernel is checked against live in
 ``ctrec.reference``; nothing here imports it.
 """
@@ -180,7 +183,8 @@ def _cholesky_solver(A: np.ndarray, context: str) -> Callable[[np.ndarray], np.n
 def batched_projector(
     structure: CrossSectionalStructure | TemporalStructure, weights: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Project every column of an (r, b) array under its own diagonal weight.
+    """Project every column of an (r, b) float array under its own diagonal
+    weight, column j of the (r, b) positive finite table ``weights``.
 
     Column j maps to S (Sᵀ W⁻¹ S)⁻¹ Sᵀ W⁻¹ x = x − W Hᵀ (H W Hᵀ)⁻¹ H x with
     W = diag(weights[:, j]), S the structure's summing matrix and H its
@@ -201,11 +205,7 @@ def batched_projector(
     H = structure.constraint_dense
     k, r = H.shape
     c = r - k
-    W = np.asarray(weights, dtype=float)
-    if W.ndim != 2 or W.shape[0] != r:
-        raise ValidationError(f"weights of shape {W.shape} need {r} rows")
-    if not np.all(np.isfinite(W)) or np.any(W <= 0):
-        raise ValidationError("weights must be positive and finite")
+    W = weights
     if k == 0:  # no constraints: everything is already coherent
         return lambda X: np.array(X, dtype=float)
     if np.all(W == W[:, :1]):  # one weight shared by every column: one Gram
@@ -230,7 +230,6 @@ def batched_projector(
             return (beta.reshape(c, -1).T @ S.T).T.reshape(X.shape)
 
     def apply(X):
-        X = np.asarray(X, dtype=float)
         return project(X.reshape(X.shape[0], X.shape[1], -1)).reshape(X.shape)
 
     return apply
@@ -248,7 +247,8 @@ def cross_temporal_projector(
     cs: CrossSectionalStructure, te: TemporalStructure, weights: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Project an (n, q) block onto the cross-temporally coherent subspace
-    under the diagonal weight W = ``weights`` (an (n, q) cell table).
+    under the diagonal weight W = ``weights``, an (n, q) cell table of
+    positive finite entries (not checked here).
 
     The same projection as ``reference.zero_projector`` on the combined
     constraints, solved by block elimination instead of one sparse
@@ -265,12 +265,8 @@ def cross_temporal_projector(
     """
     S = te.summing_dense
     H = cs.constraint_dense
-    W = np.asarray(weights, dtype=float)
+    W = weights
     n, m, u = cs.n_series, te.m, cs.n_upper
-    if W.shape != (n, te.n_positions):
-        raise ValidationError(f"weights of shape {W.shape} need {(n, te.n_positions)}")
-    if not np.all(np.isfinite(W)) or np.any(W <= 0):
-        raise ValidationError("weights must be positive and finite")
     Wt = W.T[:, :1] if np.all(W == W[:1]) else W.T  # one row shared: one Gram
     G_inv = _gram_stack_inverse(S.T, 1.0 / Wt, "temporal structural Gram matrix")
     # T[(a, s), (c, t)] = Σ_i H[a, i] H[c, i] G_i⁻¹[s, t], as one matrix product
@@ -282,7 +278,7 @@ def cross_temporal_projector(
     solve_schur = sym_solver(T, "cross-sectional Schur complement")
 
     def project(X):
-        R = (np.asarray(X, dtype=float) / W) @ S
+        R = (X / W) @ S
         B = np.matmul(G_inv, R[:, :, None])[:, :, 0]
         mu = solve_schur((H @ B).ravel()).reshape(u, m)
         B = np.matmul(G_inv, (R - H.T @ mu)[:, :, None])[:, :, 0]

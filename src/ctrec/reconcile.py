@@ -16,9 +16,8 @@ eagerly, and returns the per-origin apply over that immutable result, which
 concurrent origins may share.
 
 Every strategy takes its weights as one (n, q) table mirroring a forecast
-block: a named diagonal covariance, an (n, q) array of positive entries, or
-its series-major flattening. The cross-sectional step reads the table's columns, the
-temporal step its rows.
+block (see ``_cells``), checked once by ``prepare`` and taken as given below
+it. The cross-sectional step reads the table's columns, the temporal step its rows.
 """
 
 from __future__ import annotations
@@ -116,33 +115,25 @@ class ReconcileReport:
 
 
 class _Meter:
-    """Wall time plus best-effort peak-allocation tracking: the traced peak
-    above the traced size at entry. An outer tracemalloc session's peak is
-    reset."""
+    """Wall time, plus the traced peak above the traced size at entry when
+    tracemalloc is tracing at entry (else 0). It resets the session's peak
+    but never starts or stops one: that is the caller's."""
 
-    def __init__(self, memory: bool):
-        self.memory = memory
-        self.elapsed = 0.0
-        self.peak = 0
+    elapsed = 0.0
+    peak = 0
 
     def __enter__(self):
-        self._nested = tracemalloc.is_tracing()
-        if self.memory:
-            if self._nested:
-                tracemalloc.reset_peak()
-            else:
-                tracemalloc.start()
+        self._tracing = tracemalloc.is_tracing()
+        if self._tracing:
+            tracemalloc.reset_peak()
             self._base = tracemalloc.get_traced_memory()[0]
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
         self.elapsed = time.perf_counter() - self._t0
-        if self.memory:
+        if self._tracing:
             self.peak = tracemalloc.get_traced_memory()[1] - self._base
-            if not self._nested:
-                tracemalloc.stop()
-        return False
 
 
 def frobenius_gap(a, b) -> float:
@@ -165,35 +156,31 @@ def _sigma_name(sigma) -> str:
 
 
 def _cells(ct: CrossTemporalStructure, sigma) -> np.ndarray:
-    """A strategy's weights as one (n, q) table mirroring a forecast block.
-
-    ``sigma`` is a named diagonal covariance, an (n, q) array, or a vector
-    of n·q entries in series-major order (the canonical vector layout).
-    """
+    """A strategy's weights as one (n, q) table mirroring a forecast block,
+    checked here and nowhere else: a named diagonal covariance (positive and
+    finite by construction), or an (n, q) array or a vector of its n·q
+    cells in series-major order, of positive finite entries. An array is
+    copied, so that the build does not change when its caller's array does."""
+    shape = (ct.n_series, ct.n_positions)
     if isinstance(sigma, DiagonalSigma):
         if sigma.structure.dim != ct.dim:
             raise ValidationError("covariance built for a different structure")
         return sigma.cells()
-    w = np.asarray(sigma, dtype=float)
-    shape = (ct.n_series, ct.n_positions)
+    w = np.array(sigma, dtype=float)
     if w.shape not in (shape, (ct.dim,)):
         raise ValidationError(
             f"weights of shape {w.shape} are neither an {shape} cell table "
             f"nor a vector of its {ct.dim} cells"
         )
+    if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        raise ValidationError("weights must be positive and finite")
     return w.reshape(shape)
 
 
-def _cs_step(ct: CrossTemporalStructure, sigma) -> Callable[[np.ndarray], np.ndarray]:
-    """The cross-sectional step: project every column (temporal position) of
-    a block under that column of the weight table."""
-    return batched_projector(ct.cs, _cells(ct, sigma))
-
-
-def _te_step(ct: CrossTemporalStructure, sigma) -> Callable[[np.ndarray], np.ndarray]:
+def _te_step(ct: CrossTemporalStructure, om) -> Callable[[np.ndarray], np.ndarray]:
     """The temporal step: project every row (series) of a block under that
-    row of the weight table."""
-    project = batched_projector(ct.te, _cells(ct, sigma).T)
+    row of ``om``."""
+    project = batched_projector(ct.te, om.T)
     return lambda X: project(X.T).T
 
 
@@ -206,12 +193,9 @@ def _mean_projection(
     return batched_projector(structure, weights)(eye).mean(axis=1)
 
 
-def _ka_map(
-    ct: CrossTemporalStructure, sigma_cs, sigma_te, order: str
-) -> Callable[[np.ndarray], np.ndarray]:
+def _ka_map(ct: CrossTemporalStructure, w, om, order: str) -> Callable:
     """One uni-dimensional step followed by the other dimension's averaged
     projection matrix."""
-    w, om = _cells(ct, sigma_cs), _cells(ct, sigma_te)
     starts = [ct.te.order_slice(k).start for k in ct.te.orders]
     w_by_order = w[:, starts]
     widths = np.diff(starts + [ct.n_positions])
@@ -221,27 +205,28 @@ def _ka_map(
             "but the weights vary within an order"
         )
     if order == "cst":
-        step, m_bar = _cs_step(ct, w), _mean_projection(ct.te, om.T)
+        step, m_bar = batched_projector(ct.cs, w), _mean_projection(ct.te, om.T)
         return lambda X: step(X) @ m_bar.T
     step, m_bar = _te_step(ct, om), _mean_projection(ct.cs, w_by_order)
     return lambda X: m_bar @ step(X)
 
 
-def _build(kind: str, order: str, ct: CrossTemporalStructure, sigma_cs, sigma_te):
-    """The weight-dependent part of a method: the block map a one-shot
-    method applies, or the (first, second) steps that ``ite`` alternates.
-    ``oct`` solves by block elimination (see ``cross_temporal_projector``),
-    never forming the combined constraint Gram; ``reference.zero_projector``
-    on ``ct.full_constraint("ct")`` is the reference it is checked against."""
+def _build(kind: str, order: str, ct: CrossTemporalStructure, w, om):
+    """The weight-dependent part of a method, over the checked tables ``w``
+    (the cross-sectional step projects column t under column t) and ``om``
+    (temporal): the block map a one-shot method applies, or the (first,
+    second) steps that ``ite`` alternates. ``oct`` solves by block
+    elimination (see ``cross_temporal_projector``), checked against
+    ``reference.zero_projector`` on ``ct.full_constraint("ct")``."""
     if kind == "oct":
-        return cross_temporal_projector(ct.cs, ct.te, _cells(ct, sigma_cs))
+        return cross_temporal_projector(ct.cs, ct.te, w)
     if kind == "cs":
-        return _cs_step(ct, sigma_cs)
+        return batched_projector(ct.cs, w)
     if kind == "te":
-        return _te_step(ct, sigma_te)
+        return _te_step(ct, om)
     if kind == "ka":
-        return _ka_map(ct, sigma_cs, sigma_te, order)
-    cs_step, te_step = _cs_step(ct, sigma_cs), _te_step(ct, sigma_te)
+        return _ka_map(ct, w, om, order)
+    cs_step, te_step = batched_projector(ct.cs, w), _te_step(ct, om)
     first, second = (cs_step, te_step) if order == "cst" else (te_step, cs_step)
     if kind == "seq":
         return lambda X: second(first(X))
@@ -282,7 +267,6 @@ def prepare(
     delta: float = ITERATIVE_DEFAULT_DELTA,
     max_iter: int = ITERATIVE_DEFAULT_MAX_ITER,
     keep_iterates: bool = False,
-    measure_memory: bool = False,
 ) -> Callable[[ForecastBlock], ReconcileReport]:
     """Build a reconciling method for its weights and return its per-origin
     apply.
@@ -304,17 +288,17 @@ def prepare(
       dimension applied last is exact, the other's residual is reported.
 
     ``sigma`` weighs the cross-sectional step (and ``oct``), ``sigma_te``
-    the temporal one (default: ``sigma``). Everything that depends only on
-    the weights — the projectors and their factorizations, ``ka``'s
-    averaged matrix, whether a covariance the method uses had a cell
-    floored (a report then carries ``variance-floor`` once) — is worked out
-    here, once, so its faults (a misshapen table, ``ka``'s per-order check,
-    a singular system) raise before any origin runs; the returned callable
-    only applies that immutable build, and concurrent origins may share it.
-    Reports carry the build's cost as ``prepare_s`` and
-    ``prepare_peak_mem``, the apply's as ``elapsed`` and ``peak_mem``.
-    tracemalloc is process-wide, so ``measure_memory``'s traced peaks need
-    one worker: one origin at a time.
+    the temporal one (default: ``sigma``); each weight the method reads is
+    checked here, once, and one it does not read is ignored. Everything
+    that depends only on the weights — the projectors and their
+    factorizations, ``ka``'s averaged matrix, whether a covariance had a
+    cell floored (a report then carries ``variance-floor`` once) — is
+    worked out here, once, so its faults (a misshapen or non-positive
+    table, ``ka``'s per-order check, a singular system) raise before any
+    origin runs; concurrent origins may share the immutable build. Reports
+    carry the build's cost as ``prepare_s`` and ``prepare_peak_mem``, the
+    apply's as ``elapsed`` and ``peak_mem``; peaks are traced only inside
+    the caller's tracemalloc session (else 0).
     ``delta`` (positive and finite), ``max_iter`` and ``keep_iterates``
     concern the ``ite-*`` methods only.
     """
@@ -327,9 +311,10 @@ def prepare(
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     sigma_te = sigma if sigma_te is None else sigma_te
-    weights = {"cs": (sigma,), "oct": (sigma,), "te": (sigma_te,)}.get(
-        kind, (sigma, sigma_te)
-    )
+    # the (cross-sectional, temporal) weights the method reads; None: unread
+    reads = {"cs": (sigma, None), "oct": (sigma, None), "te": (None, sigma_te)}
+    reads = reads.get(kind, (sigma, sigma_te))
+    weights = [s for s in reads if s is not None]
     if kind == "ka":
         covariance = "per-order/per-series"
     elif len(weights) == 1:
@@ -337,15 +322,14 @@ def prepare(
     else:
         covariance = f"cs={_sigma_name(sigma)},te={_sigma_name(sigma_te)}"
     floored = any(isinstance(s, DiagonalSigma) and s.floored for s in weights)
-    with _Meter(measure_memory) as build:
-        built = _build(kind, order, ct, sigma, sigma_te)
+    w, om = (None if s is None else _cells(ct, s) for s in reads)
+    with _Meter() as build:
+        built = _build(kind, order, ct, w, om)
 
     def run(block: ForecastBlock) -> ReconcileReport:
         if block.structure is not ct:
-            raise ValidationError(
-                f"origin {block.origin_id}: block of another structure"
-            )
-        with _Meter(measure_memory) as meter:
+            raise ValidationError(f"origin {block.origin_id}: block of another structure")
+        with _Meter() as meter:
             if kind == "ite":
                 values, trace, converged, iterates = _alternate(
                     *built, block.values, delta, max_iter, keep_iterates
@@ -383,15 +367,16 @@ def prepare(
     return run
 
 
-def sntz(report: ReconcileReport, measure_memory: bool = False) -> ReconcileReport:
+def sntz(report: ReconcileReport) -> ReconcileReport:
     """Clamp negative finest-grain bottom values to zero and rebuild upward.
 
     Expects an already fully coherent input; the output is fully coherent
-    by construction and nonnegative at the finest bottom level.
+    by construction and nonnegative at the finest bottom level. The clamp
+    counts in ``elapsed`` and, in a tracemalloc session, in ``peak_mem``.
     """
     block = report.block
     ct = block.structure
-    with _Meter(measure_memory) as meter:
+    with _Meter() as meter:
         bottom = ct.bottom_hf(block.values)
         values = ct.from_bottom_hf(np.maximum(bottom, 0.0))
     out = block.with_values(values)
@@ -443,10 +428,12 @@ def run_batch(
     """Apply one strategy per origin, deterministically ordered by origin id.
 
     Results do not depend on the worker count: strategies are pure and the
-    output order is fixed by sorting.
+    output order is fixed by sorting. While tracemalloc is tracing, origins
+    run one at a time whatever ``max_workers`` is: the traced peak is
+    process-wide, so concurrent origins would reset each other's.
     """
     blocks = sorted(blocks, key=lambda b: b.origin_id)
-    if max_workers <= 1:
+    if max_workers <= 1 or tracemalloc.is_tracing():
         return [strategy(b) for b in blocks]
     from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
 

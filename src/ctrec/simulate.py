@@ -119,8 +119,8 @@ def simulate_dataset(
     """
     if n_origins < 1:
         raise ValidationError(f"need at least one origin, got {n_origins}")
-    if not noise_sd >= 0:
-        raise ValidationError(f"noise_sd must be at least 0, got {noise_sd}")
+    if not 0 <= noise_sd < np.inf:  # NaN fails both comparisons
+        raise ValidationError(f"noise_sd must be finite and at least 0, got {noise_sd}")
     if n_residual_origins < 2:
         raise ValidationError(
             f"n_residual_origins must be at least 2, got {n_residual_origins}"

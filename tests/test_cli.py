@@ -526,8 +526,8 @@ def test_evaluate_rejects_a_mistyped_prepare_field_naming_it(workdir, capsys):
 
 
 def test_reconcile_refuses_memory_with_more_than_one_thread(workdir, capsys):
-    # tracemalloc is process-wide: concurrent origins reset each other's
-    # peaks. Refused before any file is read, so the missing input goes unread
+    # traced origins run one at a time, so the threads would be ignored.
+    # Refused before any file is read, so the missing input goes unread
     out = workdir / "out"
     code = run(
         ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", workdir / "none.csv",
@@ -536,6 +536,27 @@ def test_reconcile_refuses_memory_with_more_than_one_thread(workdir, capsys):
     assert code == 2
     assert "--memory needs --threads 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reconcile_memory_counts_the_clamp_in_the_peak(workdir, monkeypatch):
+    # --sntz used to time the clamp but leave its allocations out of peak_mem
+    from ctrec.hierarchy import CrossTemporalStructure
+
+    real = CrossTemporalStructure.from_bottom_hf
+
+    def allocating(self, bottom):
+        np.ones(1_000_000)  # 8 MB, traced and freed inside the clamp
+        return real(self, bottom)
+
+    sim = simulate(workdir)
+    monkeypatch.setattr(CrossTemporalStructure, "from_bottom_hf", allocating)
+    out = workdir / "out"
+    assert run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", "oct", "--sntz", "--memory", "--out", out]
+    ) == 0
+    records = read_reports_jsonl(out / "reports.jsonl")
+    assert records and all(r["peak_mem"] >= 8_000_000 for r in records)
 
 
 SINGULAR = np.ones((7, 7))
@@ -735,6 +756,31 @@ def test_simulate_rejects_negative_noise(workdir, capsys):
     )
     assert code == 2
     assert "noise_sd" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["simulate", "--hierarchy", "{hier}", "--seed", "-1", "--out", "{out}"], "--seed"),
+        (["bench", "--hierarchy", "{hier}", "--reps", "1", "--seed", "-1", "--out", "{out}"],
+         "--seed"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["evaluate", "--hierarchy", "{hier}", "--actuals", "{sim}/actuals.csv",
+          "--candidate", "base={sim}/base.csv", "--alpha", "7", "--out", "{out}"], "--alpha"),
+        (["simulate", "--hierarchy", "{hier}", "--noise", "inf", "--out", "{out}"], "noise_sd"),
+    ],
+    ids=["simulate-seed", "bench-seed", "verify-seed", "evaluate-alpha", "simulate-noise"],
+)
+def test_an_out_of_range_number_exits_2_naming_its_option(workdir, capsys, argv, named):
+    sim = simulate(workdir) if argv[0] == "evaluate" else None
+    capsys.readouterr()
+    out = workdir / "out"
+    paths = {"hier": workdir / "hier.txt", "sim": sim, "out": out}
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 from io import StringIO
 from typing import Iterable, Mapping, Sequence
 from unittest import mock
@@ -586,15 +587,17 @@ def _has_type(kind: str, value) -> bool:
     }[kind]
 
 
-# every field written: an alternating run with timings and memory, which
-# carries its build's cost too
-FULL_REPORT = report_dict(
-    prepare("ite-tcs", CT, sigma_ols(CT), measure_memory=True)(
-        ForecastBlock(np.arange(9.0).reshape(3, 3), CT)
-    ),
-    timings=True,
-    memory=True,
-)
+# every field written: an alternating run with timings and traced memory,
+# which carries its build's cost too
+tracemalloc.start()
+try:
+    FULL_REPORT = report_dict(
+        prepare("ite-tcs", CT, sigma_ols(CT))(ForecastBlock(np.arange(9.0).reshape(3, 3), CT)),
+        timings=True,
+        memory=True,
+    )
+finally:
+    tracemalloc.stop()
 JSON_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)

@@ -586,7 +586,12 @@ def test_history_csv_malformed_rows_name_line(tmp_path):
 def test_reports_jsonl_round_trip_and_timings_toggle(tmp_path):
     ct = toy_ct((2, 1))
     block = ForecastBlock(np.arange(9.0).reshape(3, 3), ct)
-    report = run_method("oct", block, sigma_ols(ct), measure_memory=True)
+    tracemalloc.start()  # a traced peak is there, but written only on request
+    try:
+        report = run_method("oct", block, sigma_ols(ct))
+    finally:
+        tracemalloc.stop()
+    assert report.peak_mem > 0
     path = tmp_path / "reports.jsonl"
     write_reports_jsonl(path, [report])
     (record,) = read_reports_jsonl(path)

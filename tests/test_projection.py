@@ -585,19 +585,3 @@ def test_cross_temporal_projector_memory_scales_with_the_block_not_the_gram():
         tracemalloc.stop()
     assert peak <= 2 * n * m * q * 8
     assert max(ct.coherence_residuals(out)) <= 1e-9 * np.abs(out).max()
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-def test_cross_temporal_projector_rejects_non_positive_weights(bad):
-    from ctrec.reconcile import ForecastBlock
-
-    ct = toy_ct((4, 2, 1))
-    W = np.ones((ct.n_series, ct.n_positions))
-    W[1, 2] = bad
-    with pytest.raises(ValidationError, match="positive"):
-        cross_temporal_projector(ct.cs, ct.te, W)
-    block = ForecastBlock(np.ones((ct.n_series, ct.n_positions)), ct)
-    with pytest.raises(ValidationError, match="positive"):
-        run_method("oct", block, W)
-    with pytest.raises(ValidationError, match="need"):
-        cross_temporal_projector(ct.cs, ct.te, np.ones((ct.n_positions, ct.n_series)))

@@ -19,7 +19,7 @@ from ctrec.reconcile import (
     sntz,
 )
 from ctrec.reference import structural_projector, zero_projector
-from ctrec.simulate import pv324_structure
+from ctrec.simulate import pv324_structure, simulate_dataset
 from ctrec.verify import check_coherence_profile
 from helpers import random_structure, run_method, toy_ct
 
@@ -522,6 +522,54 @@ def test_prepare_raises_a_weight_fault_before_any_block():
         prepare("oct", ct, singular)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_prepare_rejects_non_positive_weights_before_any_build(monkeypatch, bad):
+    # prepare checks the tables once; the kernel takes them as given
+    for name in ("batched_projector", "cross_temporal_projector"):
+        monkeypatch.setattr(reconcile, name, lambda *a: pytest.fail("built"))
+    ct = toy_ct((4, 2, 1))
+    good = np.ones((ct.n_series, ct.n_positions))
+    table = good.copy()
+    table[1, 2] = bad
+    for method in METHODS:
+        for weights in (table, table.ravel()):
+            with pytest.raises(ValidationError, match="weights must be positive and finite"):
+                prepare(method, ct, weights)
+        with pytest.raises(ValidationError, match="cell table"):  # a (q, n) table
+            prepare(method, ct, good.T)
+
+
+def test_a_prepared_method_keeps_its_weights_when_the_callers_array_changes():
+    # oct's apply divides by the weight table it was built for; a shared
+    # caller array changed after prepare would mix two weightings
+    block = toy_block()
+    ct = block.structure
+    W = np.random.default_rng(0).uniform(0.5, 2.0, size=(ct.n_series, ct.n_positions))
+    run = prepare("oct", ct, W)
+    before = run(block).block.values
+    W *= 5
+    W[0, 0] = 100.0
+    assert np.array_equal(run(block).block.values, before)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_prepare_checks_each_weight_it_reads_once(monkeypatch, method):
+    calls = []
+    real = reconcile._cells
+    monkeypatch.setattr(reconcile, "_cells", lambda ct, s: calls.append(s) or real(ct, s))
+    ct = toy_ct((4, 2, 1))
+    good, bad = np.ones((ct.n_series, ct.n_positions)), np.zeros(7)
+    if method in ("cs", "oct"):  # the unread temporal weight is never checked
+        prepare(method, ct, good, bad)
+        assert calls == [good]
+    elif method == "te":  # nor the unread cross-sectional one
+        prepare(method, ct, bad, good)
+        assert calls == [good]
+    else:
+        prepare(method, ct, good, 2 * good)
+        assert [c[0, 0] for c in calls] == [1.0, 2.0]
+
+
 @pytest.mark.parametrize("method", ["oct", "cs", "seq-cst", "ka-tcs", "ite-tcs"])
 def test_the_constraint_form_never_builds_the_cross_sectional_summing_matrix(method):
     # 2 uppers over 5 bottoms: every cross-sectional projection takes the
@@ -537,17 +585,44 @@ def test_traced_peaks_exclude_an_outer_sessions_memory():
     import tracemalloc
 
     ct = pv324_structure()
-    run = prepare("oct", ct, sigma_ols(ct), measure_memory=True)
+    run = prepare("oct", ct, sigma_ols(ct))
     block = random_block(np.random.default_rng(6), ct)
     tracemalloc.start()
     try:
         held = np.ones(10_000_000)  # 80 MB traced before the origin runs
         report = run(block)
-        assert tracemalloc.is_tracing()  # the outer session goes on
+        assert tracemalloc.is_tracing()  # the session goes on
     finally:
         tracemalloc.stop()
     assert held.nbytes == 80_000_000
     assert 0 < report.peak_mem < 10_000_000
+
+
+def test_a_meter_outside_any_session_reads_no_peak():
+    with reconcile._Meter() as meter:
+        np.ones(1_000_000)
+    assert meter.peak == 0 and meter.elapsed > 0
+    block = toy_block()
+    report = run_method("ite-tcs", block, sigma_ols(block.structure))
+    assert report.peak_mem == 0 and report.prepare_peak_mem == 0
+
+
+def test_traced_origins_run_one_at_a_time_whatever_the_worker_count():
+    # concurrent origins would reset each other's process-wide peak
+    import tracemalloc
+
+    ct = pv324_structure()
+    data = simulate_dataset(ct, n_origins=12, seed=11)
+    run = prepare("oct", ct, sigma_wlsv(ct, data.residuals))
+    tracemalloc.start()
+    try:
+        run(data.bases[0])  # the first apply traces a few one-off bytes more
+        serial = [r.peak_mem for r in run_batch(data.bases, run, max_workers=1)]
+        pooled = [r.peak_mem for r in run_batch(data.bases, run, max_workers=4)]
+    finally:
+        tracemalloc.stop()
+    assert all(peak > 0 for peak in serial)
+    assert pooled == serial
 
 
 def test_degenerate_single_order_grid():
