@@ -42,7 +42,6 @@ from .hierarchy import (
 from .reconcile import (
     ForecastBlock,
     ReconcileReport,
-    baseline_bu,
     baseline_pers_bu,
     frobenius_gap,
     prepare,
@@ -70,7 +69,6 @@ __all__ = [
     "StructureError",
     "TemporalStructure",
     "ValidationError",
-    "baseline_bu",
     "baseline_pers_bu",
     "build_cs",
     "build_ct",

@@ -13,6 +13,7 @@ import argparse
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import covariance, io
@@ -25,10 +26,6 @@ from .reconcile import (
     ITERATIVE_DEFAULT_DELTA,
     ITERATIVE_DEFAULT_MAX_ITER,
     METHODS as RECONCILE_METHODS,
-    ForecastBlock,
-    ReconcileReport,
-    _Meter,
-    baseline_bu,
     baseline_pers_bu,
     prepare,
     run_batch,
@@ -36,7 +33,7 @@ from .reconcile import (
 )
 from .simulate import PV324_ORDERS, pv324_structure, simulate_dataset
 
-METHODS = (*RECONCILE_METHODS, "bu", "pers-bu")
+METHODS = (*RECONCILE_METHODS, "pers-bu")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,47 +68,30 @@ def _naming(source):
 def _strategy(args: argparse.Namespace, ct: CrossTemporalStructure, residuals, histories):
     """Bind a method name to a per-origin callable returning a report.
 
-    A reconciling method is built here, once per batch, before any origin
-    runs; each origin then only applies it, and every report carries that
-    build's cost as ``prepare_s`` and ``prepare_peak_mem``.
+    Every method is built by ``prepare`` from the --cov covariance, once per
+    batch, before any origin runs; each origin then only applies it, and
+    every report carries that build's cost as ``prepare_s`` and
+    ``prepare_peak_mem``. ``pers-bu`` is the prepared ``bu`` applied to the
+    seasonal-persistence block of the origin's history.
     """
     method = args.method
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
-    if method in RECONCILE_METHODS:
-        sigma = covariance.build_sigma(args.cov.replace("-", "_"), ct, residuals)
+    sigma = covariance.build_sigma(args.cov.replace("-", "_"), ct, residuals)
+    if method != "pers-bu":
         reconcile = prepare(method, ct, sigma, delta=args.delta, max_iter=args.max_iter)
     else:
-        reconcile = _baseline(method, ct, histories)
+        bu = prepare("bu", ct, sigma)
+
+        def reconcile(block):
+            if histories is None or block.origin_id not in histories:
+                raise ValidationError(
+                    f"pers-bu needs --history covering origin {block.origin_id}"
+                )
+            persistence = baseline_pers_bu(histories[block.origin_id], ct, block.origin_id)
+            return replace(bu(persistence), method=method)
+
     return (lambda block: sntz(reconcile(block))) if args.sntz else reconcile
-
-
-def _baseline(method: str, ct: CrossTemporalStructure, histories):
-    """The bu / pers-bu baselines as a per-origin callable, timed (and in a
-    tracemalloc session, traced) as ``prepare`` times a reconciling method."""
-
-    def run(block: ForecastBlock) -> ReconcileReport:
-        if method == "pers-bu" and (histories is None or block.origin_id not in histories):
-            raise ValidationError(
-                f"pers-bu needs --history covering origin {block.origin_id}"
-            )
-        with _Meter() as meter:
-            if method == "bu":
-                out = baseline_bu(block)
-            else:
-                out = baseline_pers_bu(histories[block.origin_id], ct, block.origin_id)
-        return ReconcileReport(
-            block=out,
-            method=method,
-            covariance="none",
-            iterations=1,
-            trace=(0.0,),
-            coherence=ct.coherence_residuals(out.values),
-            elapsed=meter.elapsed,
-            peak_mem=meter.peak,
-        )
-
-    return run
 
 
 @contextmanager

@@ -48,10 +48,6 @@ class ResidualSet:
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 
-    @property
-    def n_origins(self) -> int:
-        return self.blocks.shape[0]
-
 
 @dataclass(frozen=True)
 class DiagonalSigma:

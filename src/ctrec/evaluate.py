@@ -56,10 +56,6 @@ class EvalFrame:
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "levels", levels)
 
-    @property
-    def origin_ids(self) -> list[str]:
-        return [b.origin_id for b in self.actuals]
-
     def level_names(self) -> list[str]:
         """Level labels in order of first appearance."""
         seen = []
@@ -161,8 +157,9 @@ def nrmse_table(frame: EvalFrame, baseline: str | None = None) -> NrmseTable:
 def frobenius_trace(
     iter_report: ReconcileReport, oct_report: ReconcileReport
 ) -> np.ndarray:
-    """Per-iteration Frobenius distance of the alternating iterates to the
-    one-shot solution, with the final result's distance appended."""
+    """Frobenius distance of each cycle's iterate to the one-shot solution,
+    one entry per cycle (``report.iterations``); the last iterate is the
+    final result."""
     if iter_report.iterates is None:
         raise ValidationError(
             "the iterative report carries no iterates; rerun with keep_iterates=True"
@@ -170,9 +167,7 @@ def frobenius_trace(
     target = oct_report.block.values
     if target.shape != iter_report.block.values.shape:
         raise ValidationError("reports cover different block shapes")
-    gaps = [frobenius_gap(it, target) for it in iter_report.iterates]
-    gaps.append(frobenius_gap(iter_report.block.values, target))
-    return np.asarray(gaps)
+    return np.asarray([frobenius_gap(it, target) for it in iter_report.iterates])
 
 
 @dataclass(frozen=True)

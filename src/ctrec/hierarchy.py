@@ -263,14 +263,16 @@ class CrossTemporalStructure:
         return np.array(X[self.cs.n_upper :, self.te.hf_slice])
 
     def from_bottom_hf(self, bottom: np.ndarray) -> np.ndarray:
-        """Rebuild a fully coherent block from finest-grain bottom values."""
+        """Rebuild a fully coherent block from finest-grain bottom values:
+        the uppers' weighted sums stacked over the bottoms, then summed over
+        each order's positions. It never builds ``cs.summing_dense``."""
         bottom = np.asarray(bottom, dtype=float)
         if bottom.shape != (self.cs.n_bottom, self.te.m):
             raise StructureError(
                 f"bottom block shape {bottom.shape} != "
                 f"({self.cs.n_bottom}, {self.te.m})"
             )
-        return self.cs.summing_dense @ bottom @ self.te.summing_dense.T
+        return np.vstack([self.cs.agg @ bottom, bottom]) @ self.te.summing_dense.T
 
 
 def build_cs(

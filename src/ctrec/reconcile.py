@@ -8,12 +8,13 @@ The cross-sectional step projects every temporal position onto the
 hierarchy's summing subspace; the temporal step projects every series onto
 the temporal-grid subspace. One-shot methods do one of these (or the
 combined projection); the sequential, averaged and alternating heuristics
-compose them. All of them leave the inputs untouched.
+compose them, and bottom-up (``bu``) rebuilds the block from its finest
+bottom values. All of them leave the inputs untouched.
 
-``prepare`` is the one way to run a method by name: it builds the method's
-weight-dependent part (projectors, factorizations, averaged matrices) once,
-eagerly, and returns the per-origin apply over that immutable result, which
-concurrent origins may share.
+``prepare`` is the one way to run a method by name, and its apply builds
+every report: it builds the method's weight-dependent part (projectors,
+factorizations, averaged matrices) once, eagerly, and returns the per-origin
+apply over that immutable result, which concurrent origins may share.
 
 Every strategy takes its weights as one (n, q) table mirroring a forecast
 block (see ``_cells``), checked once by ``prepare`` and taken as given below
@@ -53,6 +54,7 @@ METHODS = {
     "ka-tcs": (True, True),
     "ite-cst": (True, True),
     "ite-tcs": (True, True),
+    "bu": (True, True),
 }
 
 
@@ -95,7 +97,7 @@ class ReconcileReport:
     ``elapsed`` and ``peak_mem`` (best-effort traced bytes, 0 when not
     measured) cover this origin's apply; ``prepare_s`` and
     ``prepare_peak_mem`` the method's one-off build, shared by a batch's
-    reports (0 for the baselines). ``iterates`` is only populated on request.
+    reports. ``iterates`` is only populated on request.
     """
 
     block: ForecastBlock
@@ -218,6 +220,8 @@ def _build(kind: str, order: str, ct: CrossTemporalStructure, w, om):
     second) steps that ``ite`` alternates. ``oct`` solves by block
     elimination (see ``cross_temporal_projector``), checked against
     ``reference.zero_projector`` on ``ct.full_constraint("ct")``."""
+    if kind == "bu":
+        return lambda X: ct.from_bottom_hf(ct.bottom_hf(X))
     if kind == "oct":
         return cross_temporal_projector(ct.cs, ct.te, w)
     if kind == "cs":
@@ -286,6 +290,9 @@ def prepare(
       half-step would move the iterate by at most ``delta * max(1, ||x||_F)``;
       after ``max_iter`` cycles the result is flagged ``non-converged``. The
       dimension applied last is exact, the other's residual is reported.
+    - ``bu``: bottom-up, every series and order summed from the block's
+      finest bottom values; fully coherent, and it reads no weight (its
+      covariance reads ``none``).
 
     ``sigma`` weighs the cross-sectional step (and ``oct``), ``sigma_te``
     the temporal one (default: ``sigma``); each weight the method reads is
@@ -312,11 +319,15 @@ def prepare(
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     sigma_te = sigma if sigma_te is None else sigma_te
     # the (cross-sectional, temporal) weights the method reads; None: unread
-    reads = {"cs": (sigma, None), "oct": (sigma, None), "te": (None, sigma_te)}
+    reads = {
+        "cs": (sigma, None), "oct": (sigma, None), "te": (None, sigma_te), "bu": (None, None)
+    }
     reads = reads.get(kind, (sigma, sigma_te))
     weights = [s for s in reads if s is not None]
     if kind == "ka":
         covariance = "per-order/per-series"
+    elif not weights:
+        covariance = "none"
     elif len(weights) == 1:
         covariance = _sigma_name(weights[0])
     else:
@@ -391,19 +402,14 @@ def sntz(report: ReconcileReport) -> ReconcileReport:
     )
 
 
-def baseline_bu(block: ForecastBlock) -> ForecastBlock:
-    """Bottom-up: rebuild everything from the block's own finest bottom values."""
-    ct = block.structure
-    return block.with_values(ct.from_bottom_hf(ct.bottom_hf(block.values)))
-
-
 def baseline_pers_bu(
     history: np.ndarray,
     structure: CrossTemporalStructure,
     origin_id: str = "0",
 ) -> ForecastBlock:
     """Seasonal persistence: repeat the previous cycle's finest bottom
-    observations and aggregate bottom-up.
+    observations and aggregate bottom-up, a coherent block that the
+    ``pers-bu`` baseline passes to the prepared ``bu``.
 
     ``history`` holds at least one full cycle (m columns) of finest-grain
     observations for the bottom series; the trailing cycle is used.

@@ -19,11 +19,12 @@ from ctrec.covariance import ResidualSet
 from ctrec.io import (
     read_blocks_csv,
     read_hierarchy_file,
+    read_history_csv,
     read_reports_jsonl,
     write_blocks_csv,
     write_residuals_csv,
 )
-from ctrec.reconcile import ForecastBlock
+from ctrec.reconcile import ForecastBlock, frobenius_gap
 from ctrec.simulate import simulate_dataset
 
 TOY_HIERARCHY = """\
@@ -188,7 +189,7 @@ def test_baselines_report_their_time_and_memory(workdir, method):
     ) == 0
     records = read_reports_jsonl(out / "reports.jsonl")
     assert all(r["elapsed"] > 0 and r["peak_mem"] > 0 for r in records)
-    assert all(r["prepare_s"] == r["prepare_peak_mem"] == 0 for r in records)  # no build
+    assert all(r["prepare_s"] > 0 and r["prepare_peak_mem"] > 0 for r in records)
     bench = workdir / f"bench-{method}"
     assert run(
         ["bench", "--hierarchy", workdir / "hier.txt", "--reps", 2, "--methods", method,
@@ -197,6 +198,55 @@ def test_baselines_report_their_time_and_memory(workdir, method):
     header, row = (bench / "perf.csv").read_text().splitlines()
     perf = dict(zip(header.split(","), row.split(",")))
     assert float(perf["elapsed_median"]) > 0 and float(perf["mem_median"]) > 0
+
+
+def test_bu_traces_the_change_it_makes(workdir):
+    # the bu report used to carry a trace of 0.0 whatever it changed
+    sim = simulate(workdir)
+    out = workdir / "out-bu"
+    assert run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", "bu", "--out", out]
+    ) == 0
+    agg, labels, orders = read_hierarchy_file(workdir / "hier.txt")
+    ct = build_ct(build_cs(agg, labels), build_te(orders))
+    bases = read_blocks_csv(sim / "base.csv", ct)
+    outs = read_blocks_csv(out / "reconciled.csv", ct)
+    records = read_reports_jsonl(out / "reports.jsonl")
+    for base, block, record in zip(bases, outs, records, strict=True):
+        assert record["covariance"] == "none"
+        assert record["trace"] == [frobenius_gap(block, base)] and record["trace"][0] > 0
+
+
+def test_pers_bu_reconciles_the_persistence_forecast_unchanged(workdir):
+    sim = simulate(workdir)
+    out = workdir / "out-pers-bu"
+    assert run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", "pers-bu", "--history", sim / "history.csv", "--out", out]
+    ) == 0
+    agg, labels, orders = read_hierarchy_file(workdir / "hier.txt")
+    ct = build_ct(build_cs(agg, labels), build_te(orders))
+    histories = read_history_csv(sim / "history.csv", ct)
+    outs = read_blocks_csv(out / "reconciled.csv", ct)
+    records = read_reports_jsonl(out / "reports.jsonl")
+    assert len(outs) == len(records) == 3
+    for block, record in zip(outs, records):
+        assert record["method"] == "pers-bu" and record["trace"] == [0.0]
+        history = histories[block.origin_id]
+        assert np.array_equal(block.values, ct.from_bottom_hf(history[:, -ct.te.m:]))
+
+
+def test_bu_reads_the_cov_option_like_every_method(workdir, capsys):
+    # --cov applies to every method: wlsv needs --residuals even for bu
+    sim = simulate(workdir)
+    out = workdir / "out"
+    assert run(
+        ["reconcile", "--hierarchy", workdir / "hier.txt", "--input", sim / "base.csv",
+         "--method", "bu", "--cov", "wlsv", "--out", out]
+    ) == 2
+    assert "error: wlsv needs a residual set" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["cs", "te", "seq-cst", "seq-tcs"])
@@ -559,6 +609,23 @@ def test_reconcile_memory_counts_the_clamp_in_the_peak(workdir, monkeypatch):
     assert records and all(r["peak_mem"] >= 8_000_000 for r in records)
 
 
+def test_reconcile_memory_leaves_one_off_caches_out_of_origin_0(tmp_path):
+    # the clamp's bottom-up rebuild used to build the 324 x 318 cross-sectional
+    # summing matrix inside origin 0's meter: 1.3 MB more than later origins
+    from ctrec.io import write_hierarchy_file
+    from ctrec.simulate import pv324_structure
+
+    write_hierarchy_file(tmp_path / "hier.txt", pv324_structure())
+    sim = simulate(tmp_path, reps=2)
+    out = tmp_path / "out"
+    assert run(
+        ["reconcile", "--hierarchy", tmp_path / "hier.txt", "--input", sim / "base.csv",
+         "--method", "oct", "--sntz", "--memory", "--out", out]
+    ) == 0
+    first, second = (r["peak_mem"] for r in read_reports_jsonl(out / "reports.jsonl"))
+    assert abs(first - second) <= 16 * 1024
+
+
 SINGULAR = np.ones((7, 7))
 SINGULAR[0, -1] = 1e-20  # one finest cell dominates its series' temporal Gram
 VARYING = np.ones((7, 7))
@@ -902,6 +969,24 @@ def test_bench_rejects_an_empty_name_list(workdir, capsys, option):
     assert code == 2
     assert f"{option} names no entry" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name is its module's own: sharing one means it belongs in the API
+    import ast
+
+    package = Path(ctrec.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ctrec"
+            ):
+                private += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names if alias.name.startswith("_")
+                ]
+    assert private == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(workdir):

@@ -15,7 +15,7 @@ from ctrec.evaluate import (
     perf_summary,
 )
 from ctrec.io import report_dict
-from ctrec.reconcile import ForecastBlock
+from ctrec.reconcile import ForecastBlock, frobenius_gap
 from helpers import random_structure, run_method, toy_ct
 
 
@@ -138,7 +138,7 @@ def test_frobenius_trace_identical_inputs_all_zero():
     ite = run_method("ite-tcs", block, sig, sig, keep_iterates=True)
     trace = frobenius_trace(ite, oct_report)
     # constant weights: single iteration already at the one-shot point
-    assert len(trace) == 2
+    assert len(trace) == ite.iterations == 1
     assert trace.max() <= 1e-8 * max(1.0, np.linalg.norm(block.values))
 
 
@@ -156,6 +156,8 @@ def test_frobenius_trace_decreases_under_wlsv():
         "ite-tcs", block, sig, sig, delta=1e-10, max_iter=5000, keep_iterates=True
     )
     trace = frobenius_trace(ite, oct_report)
+    assert len(trace) == ite.iterations > 1
+    assert trace[-1] == frobenius_gap(ite.block, oct_report.block)
     assert trace[-1] <= 1e-6 * max(1.0, np.linalg.norm(block.values))
     assert trace[-1] <= trace[0]
 

@@ -11,7 +11,6 @@ from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.reconcile import (
     METHODS,
     ForecastBlock,
-    baseline_bu,
     baseline_pers_bu,
     frobenius_gap,
     prepare,
@@ -459,10 +458,38 @@ def test_baseline_bu_rebuilds_from_bottom():
     rng = np.random.default_rng(20)
     ct = toy_ct((2, 1))
     block = ForecastBlock(rng.normal(size=(3, 3)), ct)
-    fb = baseline_bu(block)
+    fb = prepare("bu", ct, None)(block).block
     assert np.allclose(ct.bottom_hf(fb.values), ct.bottom_hf(block.values))
     assert ct.cs_residual(fb.values) < 1e-12
     assert ct.te_residual(fb.values) < 1e-12
+
+
+def test_prepare_bu_is_the_bottom_up_map_and_traces_its_change():
+    rng = np.random.default_rng(25)
+    ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4, 12))
+    block = random_block(rng, ct)
+    report = prepare("bu", ct, None)(block)
+    expected = ct.from_bottom_hf(ct.bottom_hf(block.values))
+    assert np.array_equal(report.block.values, expected)
+    assert report.trace == (frobenius_gap(report.block, block),)
+    assert report.trace[0] > 0 and report.iterations == 1
+    assert report.covariance == "none" and report.flags == ()
+    assert report.delta is None and report.prepare_s > 0
+
+
+def test_bottom_up_never_builds_the_cross_sectional_summing_matrix():
+    # 2 uppers over 5 bottoms, as in the constraint-form test below
+    ct = build_ct(build_cs(np.array([[1.0] * 5, [1.0, 1.0, 0, 0, 0]])), build_te([4, 2, 1]))
+    data = simulate_dataset(ct, n_origins=2, seed=5)
+    assert "summing_dense" not in ct.cs.__dict__
+    report = prepare("bu", ct, sigma_ols(ct))(data.bases[0])
+    assert "summing_dense" not in ct.cs.__dict__
+    sntz(prepare("oct", ct, sigma_ols(ct))(data.bases[1]))
+    assert "summing_dense" not in ct.cs.__dict__
+    # the summing-matrix product adds in another order: equal to rounding
+    expected = ct.cs.summing_dense @ ct.bottom_hf(data.bases[0].values) @ ct.te.summing_dense.T
+    atol = 8 * np.finfo(float).eps * np.abs(expected).max()
+    np.testing.assert_allclose(report.block.values, expected, rtol=0, atol=atol)
 
 
 # -- batch runner ---------------------------------------------------------------
@@ -532,6 +559,10 @@ def test_prepare_rejects_non_positive_weights_before_any_build(monkeypatch, bad)
     table = good.copy()
     table[1, 2] = bad
     for method in METHODS:
+        if method == "bu":  # reads no weight, so checks none
+            for weights in (table, table.ravel(), good.T):
+                prepare(method, ct, weights)
+            continue
         for weights in (table, table.ravel()):
             with pytest.raises(ValidationError, match="weights must be positive and finite"):
                 prepare(method, ct, weights)
@@ -565,6 +596,9 @@ def test_prepare_checks_each_weight_it_reads_once(monkeypatch, method):
     elif method == "te":  # nor the unread cross-sectional one
         prepare(method, ct, bad, good)
         assert calls == [good]
+    elif method == "bu":  # nor either weight of bottom-up
+        prepare(method, ct, bad, bad)
+        assert calls == []
     else:
         prepare(method, ct, good, 2 * good)
         assert [c[0, 0] for c in calls] == [1.0, 2.0]
@@ -671,6 +705,9 @@ def test_a_floored_covariance_flags_a_report_once(method):
     assert sig.floored
     block = random_block(np.random.default_rng(5), ct)
     report = run_method(method, block, sig)
+    if method == "bu":  # reads no weight, so no floored one
+        assert "variance-floor" not in report.flags
+        return
     assert report.flags.count("variance-floor") == 1
     assert report.flags[0] == "variance-floor"
 
