@@ -15,8 +15,10 @@ then costs a few batched matrix products. The alternating heuristic costs
 one pair of batched uni-dimensional projections per cycle: one cycle under
 weights that make it collapse, a few under variance-scaled ones. On a
 2-vCPU host the demo runs in under a second and prints traced builds of
-2–17 ms, medians of 0.2–0.7 ms for `oct` and 0.4–2 ms for `ka-tcs[wlsv]`
-and `ite-tcs` (1 and 2 cycles), and traced peaks of 0.3–0.7 MB.
+1–11 ms, medians of 0.3–0.4 ms for `oct` and 0.5–1.1 ms for `ka-tcs[wlsv]`
+and `ite-tcs` (1 and 2 cycles), and traced peaks of 0.3 MB for the
+one-shot methods (the result and one difference, two 324 × 60 blocks) and
+0.5–0.7 MB for `ite-tcs`.
 """
 
 import tracemalloc

@@ -23,7 +23,7 @@ sparse, for the reference projections, and import ``scipy.sparse``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -91,25 +91,40 @@ class CrossSectionalStructure:
 class TemporalStructure:
     """The grid of temporal aggregation orders within one seasonal cycle.
 
-    ``orders`` is descending and always ends with 1 (the observation
+    ``orders`` is strictly descending and ends with 1 (the observation
     frequency); every order divides the largest one, ``m``. The cycle spans
-    ``k_star + m`` positions: ``m/k`` aggregated values for each order
-    ``k > 1`` followed by the ``m`` finest values.
+    ``n_positions = k_star + m`` positions: ``m/k`` aggregated values for
+    each order ``k > 1`` followed by the ``m`` finest values. The layout is
+    worked out once, here, and a grid that breaks these rules raises
+    ``StructureError`` (``build_te`` normalises a grid before building one).
     """
 
     orders: tuple[int, ...]
+    m: int = field(init=False, repr=False, compare=False)
+    k_star: int = field(init=False, repr=False, compare=False)
+    n_positions: int = field(init=False, repr=False, compare=False)
+    hf_slice: slice = field(init=False, repr=False, compare=False)
+    _slices: dict[int, slice] = field(init=False, repr=False, compare=False)
 
-    @property
-    def m(self) -> int:
-        return self.orders[0]
-
-    @property
-    def k_star(self) -> int:
-        return sum(self.m // k for k in self.orders[:-1])
-
-    @property
-    def n_positions(self) -> int:
-        return self.k_star + self.m
+    def __post_init__(self):
+        orders = self.orders
+        if not orders or orders[-1] != 1:
+            raise StructureError(f"temporal orders {orders} do not end in 1")
+        if any(a <= b for a, b in zip(orders, orders[1:])):
+            raise StructureError(f"temporal orders {orders} are not strictly descending")
+        m = orders[0]
+        bad = [k for k in orders if m % k != 0]
+        if bad:
+            raise StructureError(f"orders {bad} do not divide the largest order {m}")
+        slices, start = {}, 0
+        for k in orders:
+            slices[k] = slice(start, start + m // k)
+            start += m // k
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k_star", start - m)
+        object.__setattr__(self, "n_positions", start)
+        object.__setattr__(self, "hf_slice", slices[1])
+        object.__setattr__(self, "_slices", slices)
 
     @cached_property
     def position_orders(self) -> np.ndarray:
@@ -120,15 +135,9 @@ class TemporalStructure:
 
     def order_slice(self, k: int) -> slice:
         """Column range occupied by order ``k`` in the canonical layout."""
-        if k not in self.orders:
+        if k not in self._slices:
             raise StructureError(f"order {k} not in {self.orders}")
-        start = sum(self.m // j for j in self.orders[: self.orders.index(k)])
-        return slice(start, start + self.m // k)
-
-    @property
-    def hf_slice(self) -> slice:
-        """Column range of the highest-frequency (order 1) values."""
-        return slice(self.k_star, self.n_positions)
+        return self._slices[k]
 
     @cached_property
     def summing_dense(self) -> np.ndarray:
@@ -238,20 +247,27 @@ class CrossTemporalStructure:
 
     def cs_residual(self, X: np.ndarray) -> float:
         """Largest absolute cross-sectional constraint violation of a block."""
-        return float(np.abs(self.cs.constraint_dense @ X).max())
+        violations = self.cs.constraint_dense @ X
+        return float(np.abs(violations, out=violations).max())
 
     def te_residual(self, X: np.ndarray) -> float:
         """Largest absolute temporal constraint violation of a block: each
         aggregated value against the sum of its k finest values, summed in
         place rather than through ``te.constraint_dense``, whose product
-        OpenBLAS would split over its threads (see ``reconcile._frobenius``)."""
+        OpenBLAS would split over its threads (see ``reconcile._frobenius``).
+        Each order's sums land in their rows of one (k_star, n) table, which
+        then takes the violations and their magnitudes in place."""
         te = self.te
         if te.k_star == 0:  # single-order grid: nothing to violate
             return 0.0
         X = np.asarray(X)
         finest = X[:, te.hf_slice].T.copy()  # position-major: each sum adds whole rows
-        sums = [finest.reshape(te.m // k, k, -1).sum(axis=1) for k in te.orders[:-1]]
-        return float(np.abs(X[:, : te.k_star].T - np.vstack(sums)).max())
+        table = np.empty_like(finest, shape=(te.k_star, finest.shape[1]))
+        for k in te.orders[:-1]:
+            sums = table[te.order_slice(k)]
+            np.add.reduce(finest.reshape(te.m // k, k, -1), axis=1, out=sums)
+        np.subtract(X[:, : te.k_star].T, table, out=table)
+        return float(np.abs(table, out=table).max())
 
     def coherence_residuals(self, X: np.ndarray) -> tuple[float, float]:
         return self.cs_residual(X), self.te_residual(X)
@@ -314,7 +330,8 @@ def build_te(orders: Sequence[int]) -> TemporalStructure:
     """Validate a set of temporal aggregation orders.
 
     Orders are deduplicated and sorted descending; 1 is appended (with a
-    warning) when missing. Every order must divide the largest one.
+    warning) when missing. Every order must divide the largest one
+    (``TemporalStructure`` checks that).
     """
     try:
         uniq = sorted({int(k) for k in orders}, reverse=True)
@@ -327,10 +344,6 @@ def build_te(orders: Sequence[int]) -> TemporalStructure:
     if uniq[-1] != 1:
         warnings.warn("order 1 missing from the temporal grid; added automatically")
         uniq.append(1)
-    m = uniq[0]
-    bad = [k for k in uniq if m % k != 0]
-    if bad:
-        raise StructureError(f"orders {bad} do not divide the largest order {m}")
     return TemporalStructure(orders=tuple(uniq))
 
 

@@ -281,7 +281,8 @@ def cross_temporal_projector(
         R = (X / W) @ S
         B = np.matmul(G_inv, R[:, :, None])[:, :, 0]
         mu = solve_schur((H @ B).ravel()).reshape(u, m)
-        B = np.matmul(G_inv, (R - H.T @ mu)[:, :, None])[:, :, 0]
+        R -= H.T @ mu
+        B = np.matmul(G_inv, R[:, :, None])[:, :, 0]
         return B @ S.T
 
     return project

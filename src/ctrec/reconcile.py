@@ -73,18 +73,32 @@ class ForecastBlock:
             raise ValidationError(
                 f"block shape {values.shape} != ({ct.n_series}, {ct.n_positions})"
             )
-        if not np.all(np.isfinite(values)):
+        self._hold(values.copy())
+
+    def _hold(self, values: np.ndarray) -> None:
+        """Keep ``values``, an array no one else holds, checked finite and
+        made read-only."""
+        if not np.isfinite(values).all():
             raise ValidationError(f"origin {self.origin_id}: non-finite forecasts")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    def _with_result(self, values: np.ndarray) -> "ForecastBlock":
+        """This origin with the float values an apply has just computed from
+        it. A C-contiguous array that owns its memory is fresh from the apply
+        and is kept as it is; anything else, such as the view a temporal step
+        returns, is copied."""
+        if values.base is not None or not values.flags.c_contiguous:
+            values = np.array(values, order="C")
+        out = object.__new__(ForecastBlock)
+        object.__setattr__(out, "structure", self.structure)
+        object.__setattr__(out, "origin_id", self.origin_id)
+        out._hold(values)
+        return out
 
     @property
     def vector(self) -> np.ndarray:
         return self.structure.vectorize(self.values)
-
-    def with_values(self, values: np.ndarray) -> "ForecastBlock":
-        return ForecastBlock(values, self.structure, self.origin_id)
 
 
 @dataclass(frozen=True)
@@ -119,7 +133,14 @@ class ReconcileReport:
 class _Meter:
     """Wall time, plus the traced peak above the traced size at entry when
     tracemalloc is tracing at entry (else 0). It resets the session's peak
-    but never starts or stops one: that is the caller's."""
+    but never starts or stops one: that is the caller's.
+
+    numpy keeps up to seven freed shape buffers per array rank and hands
+    them out again without a traced allocation. A stored block keeps the
+    buffer its apply took, so without a refill the 2-d ones would run out
+    after a few origins and the traced peak would depend on how many
+    reports the caller still holds. A traced meter therefore frees eight
+    2-d arrays before it opens its window, which refills them."""
 
     elapsed = 0.0
     peak = 0
@@ -127,6 +148,8 @@ class _Meter:
     def __enter__(self):
         self._tracing = tracemalloc.is_tracing()
         if self._tracing:
+            arrays = [np.empty((1, 1)) for _ in range(8)]
+            del arrays  # before the window opens: see the class docstring
             tracemalloc.reset_peak()
             self._base = tracemalloc.get_traced_memory()[0]
         self._t0 = time.perf_counter()
@@ -147,8 +170,10 @@ def frobenius_gap(a, b) -> float:
 
 def _frobenius(x: np.ndarray) -> float:
     """Frobenius norm by numpy's pairwise sum: ``np.linalg.norm``'s ddot runs on
-    OpenBLAS threads above 10 000 entries, up to 8 ms a call on a busy 2-vCPU host."""
-    return math.sqrt(np.square(x).sum())
+    OpenBLAS threads above 10 000 entries, up to 8 ms a call on a busy 2-vCPU host.
+    ``x`` is squared in place, so callers pass an array of their own, such as
+    a fresh difference."""
+    return math.sqrt(np.square(x, out=x).sum())
 
 
 def _sigma_name(sigma) -> str:
@@ -255,7 +280,9 @@ def _alternate(first, second, x0, delta, max_iter, keep_iterates):
         if keep_iterates:
             iterates.append(current.copy())
         half = first(current)
-        converged = _frobenius(half - current) <= delta * max(1.0, _frobenius(current))
+        converged = _frobenius(half - current) <= delta * max(
+            1.0, _frobenius(current.copy())
+        )
         previous = current
         if converged:
             break
@@ -349,9 +376,9 @@ def prepare(
                 values = built(block.values)
                 trace = [frobenius_gap(values, block.values)]
                 converged, iterates = True, None
-        # measured on the stored copy so the figures do not depend on the
+        # measured on the stored block so the figures do not depend on the
         # memory layout the last step returned (a te step returns a view)
-        out = block.with_values(values)
+        out = block._with_result(values)
         coherence = ct.coherence_residuals(out.values)
         flags = ["variance-floor"] if floored else []
         if kind == "ka" and max(coherence) > 1e-8 * max(1.0, float(np.abs(values).max())):
@@ -390,7 +417,7 @@ def sntz(report: ReconcileReport) -> ReconcileReport:
     with _Meter() as meter:
         bottom = ct.bottom_hf(block.values)
         values = ct.from_bottom_hf(np.maximum(bottom, 0.0))
-    out = block.with_values(values)
+    out = block._with_result(values)
     return replace(
         report,
         block=out,

@@ -1,12 +1,14 @@
 """Tests for the aggregation structures and the canonical layout."""
 
+import re
+
 import numpy as np
 import pytest
 
 from ctrec import hierarchy
 from ctrec.errors import StructureError
-from ctrec.hierarchy import build_cs, build_ct, build_te
-from ctrec.simulate import random_structure
+from ctrec.hierarchy import TemporalStructure, build_cs, build_ct, build_te
+from ctrec.simulate import random_orders, random_structure
 
 
 def toy_ct(orders=(2, 1)):
@@ -111,6 +113,23 @@ def test_build_te_adds_one_with_warning():
 def test_build_te_rejects_non_divisors():
     with pytest.raises(StructureError):
         build_te([4, 3, 1])
+
+
+@pytest.mark.parametrize(
+    "orders, named",
+    [
+        ((4, 3, 1), "orders [3] do not divide the largest order 4"),
+        ((1, 4, 2), "temporal orders (1, 4, 2)"),
+        ((4, 2, 2, 1), "temporal orders (4, 2, 2, 1) are not strictly descending"),
+        ((4, 2), "temporal orders (4, 2) do not end in 1"),
+        ((), "temporal orders () do not end in 1"),
+    ],
+)
+def test_temporal_structure_rejects_a_grid_build_te_would_normalise(orders, named):
+    # the class is exported: a grid that skips build_te is checked too, when
+    # its layout is worked out, not at its first use
+    with pytest.raises(StructureError, match=re.escape(named)):
+        TemporalStructure(orders)
 
 
 def test_te_position_bookkeeping():
@@ -262,6 +281,43 @@ def test_te_residual_is_the_largest_temporal_constraint_violation(orders):
     assert ct.te_residual(np.asfortranarray(X)) == ct.te_residual(X)
     X[1, -1] = np.nan
     assert np.isnan(ct.te_residual(X)) == (len(C) > 0)
+
+
+def _te_residual_oracle(ct, X):
+    """The per-order sums stacked by ``np.vstack``: the formulation that
+    ``te_residual`` replaced, kept as its bit-for-bit oracle."""
+    te = ct.te
+    if te.k_star == 0:
+        return 0.0
+    X = np.asarray(X)
+    finest = X[:, te.hf_slice].T.copy()
+    sums = [finest.reshape(te.m // k, k, -1).sum(axis=1) for k in te.orders[:-1]]
+    return float(np.abs(X[:, : te.k_star].T - np.vstack(sums)).max())
+
+
+@pytest.mark.parametrize(
+    "orders", [(1,), (2, 1), (4, 2, 1), (12, 6, 4, 3, 2, 1), (24, 12, 8, 6, 4, 3, 2, 1)]
+)
+def test_te_residual_matches_the_stacked_sums_bit_for_bit(orders):
+    rng = np.random.default_rng(sum(orders))
+    m = orders[0]
+    grids = [orders] + [tuple(random_orders(rng, m)) for _ in range(3)]
+    for grid in grids:
+        n_u = int(rng.integers(1, 5))
+        ct = build_ct(build_cs(random_agg(rng, n_u, int(rng.integers(2, 40)))), build_te(grid))
+        X = rng.normal(size=(ct.n_series, ct.n_positions)) * 10.0 ** rng.uniform(-3, 6)
+        blocks = [X, np.asfortranarray(X)]
+        for bad in (np.nan, np.inf, -np.inf):
+            Y = X.copy()
+            Y[rng.integers(ct.n_series), rng.integers(ct.n_positions)] = bad
+            blocks += [Y, np.asfortranarray(Y)]
+        Y = X.copy()
+        Y[0, 0] = Y[0, -1] = np.inf  # one series' sum against its finest inf: NaN
+        blocks.append(Y)
+        for block in blocks:
+            with np.errstate(invalid="ignore"):
+                got, expected = ct.te_residual(block), _te_residual_oracle(ct, block)
+            assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 def test_bottom_up_round_trip_and_coherence():

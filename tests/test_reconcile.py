@@ -1,6 +1,8 @@
 """Tests for the reconciliation strategies, including the two equivalence
 and convergence suites that the whole design hangs on."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -657,6 +659,72 @@ def test_traced_origins_run_one_at_a_time_whatever_the_worker_count():
         tracemalloc.stop()
     assert all(peak > 0 for peak in serial)
     assert pooled == serial
+
+
+def test_an_apply_traces_its_result_and_one_difference_at_most():
+    # the gap squares its fresh difference in place: oct and bu hold their
+    # result and that difference (2 n q cells), no third n x q array; the
+    # 2 KiB cover the two array headers and numpy's reduction bookkeeping
+    # (1 096 B at pv324)
+    import tracemalloc
+
+    ct = pv324_structure()
+    data = simulate_dataset(ct, n_origins=3, seed=11)
+    sig = sigma_wlsv(ct, data.residuals)
+    runs = {m: prepare(m, ct, sig, delta=1e-10) for m in ("oct", "bu", "ite-tcs")}
+    tracemalloc.start()
+    try:
+        peaks = {m: [run(b).peak_mem for b in data.bases] for m, run in runs.items()}
+    finally:
+        tracemalloc.stop()
+    cells = ct.n_series * ct.n_positions * 8
+    for method in ("oct", "bu"):
+        assert all(peak <= 2 * cells + 2048 for peak in peaks[method][1:]), peaks
+    assert all(peak < 779_448 for peak in peaks["ite-tcs"][1:]), peaks
+
+
+@pytest.mark.parametrize("method", [*METHODS, "sntz"])
+def test_a_report_stores_the_apply_result_frozen_and_unshared(method, monkeypatch):
+    # a fresh result is stored without a copy, a view is copied; either way
+    # the block is the apply's values, read-only, C-ordered and its own
+    ct = build_ct(build_cs(np.array([[1.0] * 5, [1.0, 1.0, 0, 0, 0]])), build_te([4, 2, 1]))
+    rng = np.random.default_rng(8)
+    weights = np.repeat(rng.uniform(0.5, 2.0, size=(ct.n_series, 3)), [1, 2, 4], axis=1)
+    results = []
+    real = ForecastBlock._with_result
+
+    def recording(self, values):
+        results.append(np.array(values))
+        return real(self, values)
+
+    monkeypatch.setattr(ForecastBlock, "_with_result", recording)
+    run = prepare("oct" if method == "sntz" else method, ct, weights)
+    blocks = [random_block(rng, ct, origin_id=str(i)) for i in range(2)]
+    reports = [sntz(run(b)) if method == "sntz" else run(b) for b in blocks]
+    if method == "sntz":  # oct's result, then the clamp's
+        results = results[1::2]
+    for block, report, values in zip(blocks, reports, results):
+        stored = report.block.values
+        assert not stored.flags.writeable and stored.flags.c_contiguous
+        assert not np.shares_memory(stored, block.values)
+        assert np.array_equal(stored, values)
+    assert not np.shares_memory(reports[0].block.values, reports[1].block.values)
+
+
+@pytest.mark.parametrize("method", ["bu", "sntz"])
+def test_a_non_finite_apply_result_names_its_origin(method):
+    # finite bottoms whose sum overflows
+    ct = toy_ct((2, 1))
+    values = np.zeros((ct.n_series, ct.n_positions))
+    values[ct.cs.n_upper :] = 1e308
+    block = ForecastBlock(values, ct, "0042")
+    run = prepare("bu", ct, None)
+    overflow = np.errstate(over="ignore", invalid="ignore")
+    with overflow, pytest.raises(ValidationError, match="origin 0042: non-finite"):
+        if method == "bu":
+            run(block)
+        else:  # the clamp rebuilds the block from its bottoms
+            sntz(replace(run(ForecastBlock(np.zeros_like(values), ct)), block=block))
 
 
 def test_degenerate_single_order_grid():
