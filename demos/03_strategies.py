@@ -46,14 +46,15 @@ print("(one-dimensional and sequential methods leave the other dimension "
       "visibly incoherent; the averaged, one-shot and alternating ones do not)")
 
 # Constant weights: every composite strategy lands on the same point. Every
-# strategy reads an (n, q) weight table, so one weight vector per dimension
-# is spread over the table: w by series, om by temporal position.
-w = np.outer(rng.uniform(0.5, 2.0, size=ct.n_series), np.ones(ct.n_positions))
-om = np.outer(np.ones(ct.n_series), rng.uniform(0.5, 2.0, size=ct.n_positions))
-target = prepare("oct", ct, w * om)(block).block
+# strategy reads one (n, q) weight table; one weight vector per dimension,
+# w by series and om by temporal position, is their outer product.
+table = np.outer(
+    rng.uniform(0.5, 2.0, size=ct.n_series), rng.uniform(0.5, 2.0, size=ct.n_positions)
+)
+target = prepare("oct", ct, table)(block).block
 print("\nwith one weight vector per dimension, gaps to the one-shot solution:")
 for method in ("seq-cst", "seq-tcs", "ka-tcs", "ite-cst"):
-    report = prepare(method, ct, w, om)(block)
+    report = prepare(method, ct, table)(block)
     extra = f" (cycles: {report.iterations})" if method.startswith("ite") else ""
     print(f"  {method:<8} {frobenius_gap(report.block, target):.2e}{extra}")
 
@@ -68,7 +69,7 @@ dip = ct.from_bottom_hf(
         ]
     )
 )
-report = prepare("oct", ct, w * om)(ForecastBlock(dip, ct))
+report = prepare("oct", ct, table)(ForecastBlock(dip, ct))
 clamped = sntz(report)
 print("\nnegative clamping:", report.method, "->", clamped.method)
 print("  finest bottom minimum before:", ct.bottom_hf(report.block.values).min())

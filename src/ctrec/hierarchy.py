@@ -49,15 +49,36 @@ class CrossSectionalStructure:
     """Linear aggregation constraints among the series of a hierarchy.
 
     ``agg`` holds one row per upper series with the weights applied to the
-    bottom series. ``labels`` lists every series, uppers first, bottoms last.
-    Immutable after construction; safe to share across workers.
+    bottom series: finite, not empty, no row all zero. ``labels`` lists
+    every series once, uppers first, bottoms last. A structure that breaks
+    these rules raises ``StructureError``. Immutable after construction;
+    safe to share across workers.
     """
 
     agg: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "agg", _readonly(self.agg))
+        agg = _readonly(self.agg)
+        if agg.size == 0:
+            raise StructureError("aggregation matrix is empty")
+        if agg.ndim != 2:
+            raise StructureError(f"aggregation matrix of shape {agg.shape} is not 2-d")
+        if not np.all(np.isfinite(agg)):
+            raise StructureError("aggregation matrix has non-finite entries")
+        dead = np.flatnonzero(~np.any(agg != 0, axis=1))
+        if dead.size:
+            raise StructureError(f"aggregation rows {dead.tolist()} are all zero")
+        labels = tuple(str(s) for s in self.labels)
+        if len(labels) != sum(agg.shape):
+            raise StructureError(f"{len(labels)} labels for {sum(agg.shape)} series")
+        seen: set[str] = set()
+        for label in labels:
+            if label in seen:
+                raise StructureError(f"duplicate series label {label!r}")
+            seen.add(label)
+        object.__setattr__(self, "agg", agg)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_upper(self) -> int:
@@ -163,11 +184,20 @@ class CrossTemporalStructure:
 
     Exposes the expanded summing/constraint matrices of all three frameworks.
     Kronecker products are kept as factor pairs (the ``cs``/``te`` members)
-    and only materialized into sparse form on request.
+    and only materialized into sparse form on request. A full vector longer
+    than ``DEFAULT_SIZE_CAP`` raises ``StructureError`` before anything is
+    allocated.
     """
 
     cs: CrossSectionalStructure
     te: TemporalStructure
+
+    def __post_init__(self):
+        dim = self.cs.n_series * self.te.n_positions
+        if dim > DEFAULT_SIZE_CAP:
+            raise StructureError(
+                f"full vector length {dim} exceeds the size cap {DEFAULT_SIZE_CAP}"
+            )
 
     @property
     def n_series(self) -> int:
@@ -294,35 +324,22 @@ class CrossTemporalStructure:
 def build_cs(
     agg: np.ndarray, labels: Sequence[str] | None = None
 ) -> CrossSectionalStructure:
-    """Validate an aggregation weight matrix and wrap it as a structure.
+    """Wrap an aggregation weight matrix as a structure.
 
     Args:
-        agg: (n_upper, n_bottom) weights mapping bottom series to uppers.
-            Integer 0/1 rows for plain hierarchies; real weights accepted.
-        labels: optional series identifiers, uppers first then bottoms.
+        agg: (n_upper, n_bottom) weights mapping bottom series to uppers;
+            one row may be given as a vector. Integer 0/1 rows for plain
+            hierarchies; real weights accepted.
+        labels: optional series identifiers, uppers first then bottoms
+            (default ``u1, ...`` then ``b1, ...``).
 
     Raises:
-        StructureError: empty matrix, non-finite entries, or an all-zero row.
+        StructureError: see ``CrossSectionalStructure``.
     """
     agg = np.atleast_2d(np.asarray(agg, dtype=float))
-    if agg.size == 0:
-        raise StructureError("aggregation matrix is empty")
-    if not np.all(np.isfinite(agg)):
-        raise StructureError("aggregation matrix has non-finite entries")
-    dead = np.flatnonzero(~np.any(agg != 0, axis=1))
-    if dead.size:
-        raise StructureError(f"aggregation rows {dead.tolist()} are all zero")
-    n_u, n_b = agg.shape
     if labels is None:
+        n_u, n_b = agg.shape[:2]
         labels = [f"u{i + 1}" for i in range(n_u)] + [f"b{i + 1}" for i in range(n_b)]
-    labels = tuple(str(s) for s in labels)
-    if len(labels) != n_u + n_b:
-        raise StructureError(f"{len(labels)} labels for {n_u + n_b} series")
-    seen: set[str] = set()
-    for label in labels:
-        if label in seen:
-            raise StructureError(f"duplicate series label {label!r}")
-        seen.add(label)
     return CrossSectionalStructure(agg=agg, labels=labels)
 
 
@@ -348,12 +365,7 @@ def build_te(orders: Sequence[int]) -> TemporalStructure:
 
 
 def build_ct(cs: CrossSectionalStructure, te: TemporalStructure) -> CrossTemporalStructure:
-    """Combine the two structures, failing fast when the full vector is
-    longer than ``DEFAULT_SIZE_CAP``. Nothing else can fail: each factor's
-    ``constraint @ summing`` is exactly zero (see the module docstring)."""
-    dim = cs.n_series * te.n_positions
-    if dim > DEFAULT_SIZE_CAP:
-        raise StructureError(
-            f"full vector length {dim} exceeds the size cap {DEFAULT_SIZE_CAP}"
-        )
+    """Combine the two structures (``CrossTemporalStructure`` checks the
+    size cap). Nothing else can fail: each factor's ``constraint @ summing``
+    is exactly zero (see the module docstring)."""
     return CrossTemporalStructure(cs=cs, te=te)

@@ -18,7 +18,7 @@ apply over that immutable result, which concurrent origins may share.
 
 Every strategy takes its weights as one (n, q) table mirroring a forecast
 block (see ``_cells``), checked once by ``prepare`` and taken as given below
-it. The cross-sectional step reads the table's columns, the temporal step its rows.
+it. The cross-sectional step reads its columns, the temporal step its rows.
 """
 
 from __future__ import annotations
@@ -176,38 +176,30 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(np.square(x, out=x).sum())
 
 
-def _sigma_name(sigma) -> str:
-    if isinstance(sigma, DiagonalSigma):
-        return sigma.name
-    return "custom"
-
-
 def _cells(ct: CrossTemporalStructure, sigma) -> np.ndarray:
-    """A strategy's weights as one (n, q) table mirroring a forecast block,
-    checked here and nowhere else: a named diagonal covariance (positive and
-    finite by construction), or an (n, q) array or a vector of its n·q
-    cells in series-major order, of positive finite entries. An array is
-    copied, so that the build does not change when its caller's array does."""
+    """A method's weights as one (n, q) table mirroring a forecast block,
+    checked here and nowhere else: a named diagonal covariance built for a
+    structure of this shape (positive and finite by construction), or an
+    (n, q) array of positive finite cells. An array is copied, so that the
+    build does not change when its caller's array does."""
     shape = (ct.n_series, ct.n_positions)
     if isinstance(sigma, DiagonalSigma):
-        if sigma.structure.dim != ct.dim:
+        cells = sigma.cells()
+        if cells.shape != shape:
             raise ValidationError("covariance built for a different structure")
-        return sigma.cells()
+        return cells
     w = np.array(sigma, dtype=float)
-    if w.shape not in (shape, (ct.dim,)):
-        raise ValidationError(
-            f"weights of shape {w.shape} are neither an {shape} cell table "
-            f"nor a vector of its {ct.dim} cells"
-        )
+    if w.shape != shape:
+        raise ValidationError(f"weights of shape {w.shape} are not an {shape} cell table")
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValidationError("weights must be positive and finite")
-    return w.reshape(shape)
+    return w
 
 
-def _te_step(ct: CrossTemporalStructure, om) -> Callable[[np.ndarray], np.ndarray]:
+def _te_step(ct: CrossTemporalStructure, w) -> Callable[[np.ndarray], np.ndarray]:
     """The temporal step: project every row (series) of a block under that
-    row of ``om``."""
-    project = batched_projector(ct.te, om.T)
+    row of ``w``."""
+    project = batched_projector(ct.te, w.T)
     return lambda X: project(X.T).T
 
 
@@ -220,29 +212,32 @@ def _mean_projection(
     return batched_projector(structure, weights)(eye).mean(axis=1)
 
 
-def _ka_map(ct: CrossTemporalStructure, w, om, order: str) -> Callable:
+def _ka_map(ct: CrossTemporalStructure, w, order: str) -> Callable:
     """One uni-dimensional step followed by the other dimension's averaged
-    projection matrix."""
+    projection matrix: over the series for ``cst``, over the orders for
+    ``tcs``, each order weighed by its first column."""
+    if order == "cst":
+        step, m_bar = batched_projector(ct.cs, w), _mean_projection(ct.te, w.T)
+        return lambda X: step(X) @ m_bar.T
     starts = [ct.te.order_slice(k).start for k in ct.te.orders]
     w_by_order = w[:, starts]
-    widths = np.diff(starts + [ct.n_positions])
-    if not np.array_equal(np.repeat(w_by_order, widths, axis=1), w):
+    ratio = w / np.repeat(w_by_order, np.diff(starts + [ct.n_positions]), axis=1)
+    # a projection does not see its weight's scale, so each column need only
+    # be a multiple of its order's first, up to the ratio's few ulps of rounding
+    if np.any(np.abs(ratio - ratio[0]) > 8 * np.finfo(float).eps * ratio[0]):
         raise ValidationError(
             "the averaging heuristic needs one cross-sectional weight per order, "
             "but the weights vary within an order"
         )
-    if order == "cst":
-        step, m_bar = batched_projector(ct.cs, w), _mean_projection(ct.te, om.T)
-        return lambda X: step(X) @ m_bar.T
-    step, m_bar = _te_step(ct, om), _mean_projection(ct.cs, w_by_order)
+    step, m_bar = _te_step(ct, w), _mean_projection(ct.cs, w_by_order)
     return lambda X: m_bar @ step(X)
 
 
-def _build(kind: str, order: str, ct: CrossTemporalStructure, w, om):
-    """The weight-dependent part of a method, over the checked tables ``w``
-    (the cross-sectional step projects column t under column t) and ``om``
-    (temporal): the block map a one-shot method applies, or the (first,
-    second) steps that ``ite`` alternates. ``oct`` solves by block
+def _build(kind: str, order: str, ct: CrossTemporalStructure, w):
+    """The weight-dependent part of a method over the checked table ``w``
+    (the cross-sectional step projects column t under column t, the temporal
+    step row i under row i): the block map a one-shot method applies, or the
+    (first, second) steps that ``ite`` alternates. ``oct`` solves by block
     elimination (see ``cross_temporal_projector``), checked against
     ``reference.zero_projector`` on ``ct.full_constraint("ct")``."""
     if kind == "bu":
@@ -252,10 +247,10 @@ def _build(kind: str, order: str, ct: CrossTemporalStructure, w, om):
     if kind == "cs":
         return batched_projector(ct.cs, w)
     if kind == "te":
-        return _te_step(ct, om)
+        return _te_step(ct, w)
     if kind == "ka":
-        return _ka_map(ct, w, om, order)
-    cs_step, te_step = batched_projector(ct.cs, w), _te_step(ct, om)
+        return _ka_map(ct, w, order)
+    cs_step, te_step = batched_projector(ct.cs, w), _te_step(ct, w)
     first, second = (cs_step, te_step) if order == "cst" else (te_step, cs_step)
     if kind == "seq":
         return lambda X: second(first(X))
@@ -293,7 +288,6 @@ def prepare(
     method: str,
     ct: CrossTemporalStructure,
     sigma,
-    sigma_te=None,
     *,
     delta: float = ITERATIVE_DEFAULT_DELTA,
     max_iter: int = ITERATIVE_DEFAULT_MAX_ITER,
@@ -310,9 +304,8 @@ def prepare(
     - ``oct``: the one-shot combined projection, fully coherent.
     - ``seq-*``: both steps once; coherent only in the dimension applied last.
     - ``ka-*``: one step, then the average of the other dimension's
-      projections (per series for ``ka-cst``, per order for ``ka-tcs``, whose
-      cross-sectional table must be constant across each order's positions);
-      a result that is not fully coherent is flagged ``ka-incoherent``.
+      projections (per series for ``ka-cst``, per order for ``ka-tcs``); a
+      result that is not fully coherent is flagged ``ka-incoherent``.
     - ``ite-*``: both steps alternated until the fixed-point test: the next
       half-step would move the iterate by at most ``delta * max(1, ||x||_F)``;
       after ``max_iter`` cycles the result is flagged ``non-converged``. The
@@ -321,18 +314,21 @@ def prepare(
       finest bottom values; fully coherent, and it reads no weight (its
       covariance reads ``none``).
 
-    ``sigma`` weighs the cross-sectional step (and ``oct``), ``sigma_te``
-    the temporal one (default: ``sigma``); each weight the method reads is
-    checked here, once, and one it does not read is ignored. Everything
-    that depends only on the weights — the projectors and their
-    factorizations, ``ka``'s averaged matrix, whether a covariance had a
-    cell floored (a report then carries ``variance-floor`` once) — is
-    worked out here, once, so its faults (a misshapen or non-positive
-    table, ``ka``'s per-order check, a singular system) raise before any
-    origin runs; concurrent origins may share the immutable build. Reports
-    carry the build's cost as ``prepare_s`` and ``prepare_peak_mem``, the
-    apply's as ``elapsed`` and ``peak_mem``; peaks are traced only inside
-    the caller's tracemalloc session (else 0).
+    ``sigma`` is the one weight table every step reads: a named covariance
+    or an (n, q) array of positive finite cells. The cross-sectional step
+    reads its columns, the temporal step its rows, ``oct`` its cells, and
+    ``bu`` none. A projection does not see its weight's scale, so a
+    separable covariance is ``np.outer(w, om)``, and ``ka-tcs``, which
+    weighs each order by its first column, needs the order's other columns
+    to be multiples of it. Everything that depends only on the weights —
+    the table's check, the projectors and their factorizations, ``ka``'s
+    averaged matrix, whether a covariance had a cell floored (a report then
+    carries ``variance-floor`` once) — is worked out here, once, so its
+    faults raise before any origin runs; concurrent origins may share the
+    immutable build. Reports name the covariance (``custom`` for an array)
+    and carry the build's cost as ``prepare_s`` and ``prepare_peak_mem``,
+    the apply's as ``elapsed`` and ``peak_mem``; peaks are traced only
+    inside the caller's tracemalloc session (else 0).
     ``delta`` (positive and finite), ``max_iter`` and ``keep_iterates``
     concern the ``ite-*`` methods only.
     """
@@ -344,25 +340,14 @@ def prepare(
             raise ValidationError(f"delta must be positive and finite, got {delta}")
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    sigma_te = sigma if sigma_te is None else sigma_te
-    # the (cross-sectional, temporal) weights the method reads; None: unread
-    reads = {
-        "cs": (sigma, None), "oct": (sigma, None), "te": (None, sigma_te), "bu": (None, None)
-    }
-    reads = reads.get(kind, (sigma, sigma_te))
-    weights = [s for s in reads if s is not None]
-    if kind == "ka":
-        covariance = "per-order/per-series"
-    elif not weights:
-        covariance = "none"
-    elif len(weights) == 1:
-        covariance = _sigma_name(weights[0])
-    else:
-        covariance = f"cs={_sigma_name(sigma)},te={_sigma_name(sigma_te)}"
-    floored = any(isinstance(s, DiagonalSigma) and s.floored for s in weights)
-    w, om = (None if s is None else _cells(ct, s) for s in reads)
+    covariance, floored, w = "none", False, None
+    if kind != "bu":
+        named = isinstance(sigma, DiagonalSigma)
+        covariance = sigma.name if named else "custom"
+        floored = named and bool(sigma.floored)
+        w = _cells(ct, sigma)
     with _Meter() as build:
-        built = _build(kind, order, ct, w, om)
+        built = _build(kind, order, ct, w)
 
     def run(block: ForecastBlock) -> ReconcileReport:
         if block.structure is not ct:

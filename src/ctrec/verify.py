@@ -51,21 +51,19 @@ def _scaled_residuals(rng, ct: CrossTemporalStructure, n_origins: int) -> Residu
 def check_constant_weight_equivalence(
     seed: int = 0, instances: int = 50, tol: float = 1e-8
 ) -> CheckResult:
-    """With one weight matrix per dimension, the sequential, averaged, and
-    alternating heuristics (single cycle) all equal the one-shot solution
-    under the separable covariance."""
+    """With a separable weight table, one weight vector per dimension, the
+    sequential, averaged, and alternating heuristics (single cycle) all
+    equal the one-shot solution."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
         ct = random_structure(rng, max_series=30, max_upper=8, m_choices=(4, 12, 24))
         block = _noisy_block(rng, ct)
-        # one weight vector per dimension, spread over the (n, q) cell table
-        n, q = ct.n_series, ct.n_positions
-        w = np.outer(rng.uniform(0.5, 2.0, size=n), np.ones(q))
-        om = np.outer(np.ones(n), rng.uniform(0.5, 2.0, size=q))
+        table = np.outer(
+            rng.uniform(0.5, 2.0, size=ct.n_series), rng.uniform(0.5, 2.0, size=ct.n_positions)
+        )
         heuristics = ("seq-cst", "seq-tcs", "ka-cst", "ka-tcs", "ite-cst", "ite-tcs")
-        runs = [prepare(method, ct, w, om)(block) for method in heuristics]
-        runs.append(prepare("oct", ct, w * om)(block))
+        runs = [prepare(method, ct, table)(block) for method in (*heuristics, "oct")]
         if runs[4].iterations != 1 or runs[5].iterations != 1:
             return CheckResult(
                 "constant-weight equivalence",

@@ -43,6 +43,6 @@ def pv324_agg():
     return np.asarray(cs.agg), list(cs.labels)
 
 
-def run_method(method, block, sigma, sigma_te=None, **options):
+def run_method(method, block, sigma, **options):
     """Reconcile one block by method name: ``prepare`` for its structure."""
-    return prepare(method, block.structure, sigma, sigma_te, **options)(block)
+    return prepare(method, block.structure, sigma, **options)(block)

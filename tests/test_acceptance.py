@@ -76,7 +76,7 @@ def test_criterion_5_dense_oracle_equivalence():
         axis=0,
     )
     dense = np.kron(np.eye(ct.n_series), m_te_bar) @ m_cs_full
-    run = run_method("ka-cst", block, sigma, sigma)
+    run = run_method("ka-cst", block, sigma)
     gap = np.linalg.norm(run.block.vector - dense @ block.vector)
     assert gap <= 1e-9 * max(1.0, np.linalg.norm(block.vector))
     _announce(5, f"PASS dense-oracle equivalence: {result.detail}; "
@@ -102,14 +102,14 @@ def test_criterion_7_performance_trend():
     start = time.perf_counter()
     ct = pv324_structure()  # 324 series, hourly grid: the benchmark shape
     data = simulate_dataset(ct, n_origins=3, n_residual_origins=20, noise_sd=0.5, seed=5)
-    w = om = np.ones((ct.n_series, ct.n_positions))
+    ones = np.ones((ct.n_series, ct.n_positions))
     sigma = sigma_wlsv(ct, data.residuals)
     single, multi = [], []
     for block in data.bases:
-        fast = run_method("ite-tcs", block, w, om)
+        fast = run_method("ite-tcs", block, ones)
         assert fast.iterations == 1
         single.append(fast.elapsed)
-        slow = run_method("ite-tcs", block, sigma, sigma, max_iter=1000)
+        slow = run_method("ite-tcs", block, sigma, max_iter=1000)
         assert slow.iterations > 1 and slow.converged
         multi.append(slow.elapsed)
     elapsed = time.perf_counter() - start

@@ -639,7 +639,8 @@ VARYING[0, 1] = 2.0  # order 2's first position only
          "numerical failure: temporal structural Gram matrix (column 0) is singular"),
         ("ka-tcs", VARYING, 2,
          "error: the averaging heuristic needs one cross-sectional weight per order"),
-        ("oct", np.ones((7, 6)), 2, "error: weights of shape (7, 6) are neither"),
+        ("oct", np.ones((7, 6)), 2,
+         "error: weights of shape (7, 6) are not an (7, 7) cell table"),
     ],
     ids=["singular", "ka-per-order", "misshapen"],
 )

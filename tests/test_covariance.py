@@ -132,4 +132,4 @@ def test_per_order_view_rejects_position_varying_diagonal():
     block = ForecastBlock(np.ones((3, 3)), ct)
     # the averaging heuristic reads one cross-sectional weight per order
     with pytest.raises(ValidationError, match="per order"):
-        run_method("ka-tcs", block, sig, sig)
+        run_method("ka-tcs", block, sig)

@@ -135,7 +135,7 @@ def test_frobenius_trace_identical_inputs_all_zero():
     )
     sig = sigma_ols(ct)
     oct_report = run_method("oct", block, sig)
-    ite = run_method("ite-tcs", block, sig, sig, keep_iterates=True)
+    ite = run_method("ite-tcs", block, sig, keep_iterates=True)
     trace = frobenius_trace(ite, oct_report)
     # constant weights: single iteration already at the one-shot point
     assert len(trace) == ite.iterations == 1
@@ -153,7 +153,7 @@ def test_frobenius_trace_decreases_under_wlsv():
     sig = sigma_wlsv(ct, res)
     oct_report = run_method("oct", block, sig)
     ite = run_method(
-        "ite-tcs", block, sig, sig, delta=1e-10, max_iter=5000, keep_iterates=True
+        "ite-tcs", block, sig, delta=1e-10, max_iter=5000, keep_iterates=True
     )
     trace = frobenius_trace(ite, oct_report)
     assert len(trace) == ite.iterations > 1
@@ -166,7 +166,7 @@ def test_frobenius_trace_requires_iterates():
     ct = toy_ct((2, 1))
     block = ForecastBlock(np.arange(9.0).reshape(3, 3), ct)
     sig = sigma_ols(ct)
-    ite = run_method("ite-tcs", block, sig, sig)
+    ite = run_method("ite-tcs", block, sig)
     with pytest.raises(ValidationError):
         frobenius_trace(ite, run_method("oct", block, sig))
 

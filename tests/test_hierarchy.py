@@ -7,7 +7,14 @@ import pytest
 
 from ctrec import hierarchy
 from ctrec.errors import StructureError
-from ctrec.hierarchy import TemporalStructure, build_cs, build_ct, build_te
+from ctrec.hierarchy import (
+    CrossSectionalStructure,
+    CrossTemporalStructure,
+    TemporalStructure,
+    build_cs,
+    build_ct,
+    build_te,
+)
 from ctrec.simulate import random_orders, random_structure
 
 
@@ -67,6 +74,30 @@ def test_build_cs_rejects_bad_input():
         build_cs(np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(StructureError):
         build_cs(np.array([[1.0, 1.0]]), labels=["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "agg, labels, named",
+    [
+        (np.empty((0, 2)), (), "aggregation matrix is empty"),
+        (np.ones(2), ("t", "a", "b"), "aggregation matrix of shape (2,) is not 2-d"),
+        ([[1.0, np.nan]], ("t",), "aggregation matrix has non-finite entries"),
+        ([[1.0, 1.0], [0.0, 0.0]], ("t", "z", "a", "b"), "aggregation rows [1] are all zero"),
+        ([[1.0, 1.0]], ("t", "a"), "2 labels for 3 series"),
+        ([[1.0, 1.0]], ("t", "a", "a"), "duplicate series label 'a'"),
+    ],
+    ids=["empty", "not-2d", "non-finite", "zero-row", "label-count", "duplicate-label"],
+)
+def test_cross_sectional_structure_rejects_what_build_cs_rejects(agg, labels, named):
+    # the class is exported: a matrix that skips build_cs is checked too,
+    # before a method built on it fails far from the cause
+    with pytest.raises(StructureError, match=re.escape(named)):
+        CrossSectionalStructure(agg=agg, labels=labels)
+
+
+def test_cross_sectional_structure_keeps_its_labels_as_strings():
+    cs = CrossSectionalStructure(agg=[[1.0, 1.0]], labels=[1, 2, 3])
+    assert cs.labels == ("1", "2", "3")
 
 
 # -- temporal -----------------------------------------------------------
@@ -181,6 +212,13 @@ def test_build_ct_size_cap(monkeypatch):
     monkeypatch.setattr(hierarchy, "DEFAULT_SIZE_CAP", 10**7)
     # the cap is checked, not stored: it does not tell two structures apart
     assert build_ct(cs, te) == built
+
+
+def test_cross_temporal_structure_checks_the_size_cap_itself(monkeypatch):
+    cs, te = build_cs(np.ones((1, 100))), build_te([4, 2, 1])
+    monkeypatch.setattr(hierarchy, "DEFAULT_SIZE_CAP", 700)
+    with pytest.raises(StructureError, match="full vector length 707 exceeds the size cap 700"):
+        CrossTemporalStructure(cs, te)
 
 
 def test_ct_summing_is_product_of_expanded_factors():

@@ -667,7 +667,7 @@ def test_report_dict_carries_delta_for_iterative():
     ct = toy_ct((2, 1))
     block = ForecastBlock(np.arange(9.0).reshape(3, 3), ct)
     sig = sigma_ols(ct)
-    record = report_dict(run_method("ite-tcs", block, sig, sig, delta=1e-7))
+    record = report_dict(run_method("ite-tcs", block, sig, delta=1e-7))
     assert record["delta"] == 1e-7
     record = report_dict(run_method("oct", block, sig))
     assert "delta" not in record

@@ -559,7 +559,7 @@ def test_cross_temporal_projector_with_floored_variances_matches_reference():
     assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
     # the alternating heuristic still converges to the same point
     scale = max(1.0, np.linalg.norm(block.values))
-    ite = run_method("ite-tcs", block, sigma, sigma, delta=1e-10, max_iter=5000)
+    ite = run_method("ite-tcs", block, sigma, delta=1e-10, max_iter=5000)
     assert ite.converged and "variance-floor" in ite.flags
     assert np.linalg.norm(ite.block.values - out) <= 10 * 1e-10 * scale
 

@@ -1,13 +1,14 @@
 """Tests for the reconciliation strategies, including the two equivalence
 and convergence suites that the whole design hangs on."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ctrec.reconcile as reconcile
-from ctrec.covariance import ResidualSet, sigma_ols, sigma_wlsv
+from ctrec.covariance import ResidualSet, sigma_ols, sigma_str, sigma_wlsv
 from ctrec.errors import SingularSystemError, ValidationError
 from ctrec.hierarchy import build_cs, build_ct, build_te
 from ctrec.reconcile import (
@@ -125,7 +126,7 @@ def test_reconcile_oct_separable_sigma_is_two_sided_projection():
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
     w, om = constant_weights(rng, ct)
-    out = run_method("oct", block, np.kron(w, om))
+    out = run_method("oct", block, np.outer(w, om))
     m_cs = structural_projector(ct.cs.summing_dense, w).dense()
     m_te = structural_projector(ct.te.summing_dense, om).dense()
     assert np.allclose(out.block.values, m_cs @ block.values @ m_te.T, atol=1e-9)
@@ -135,10 +136,10 @@ def test_reconcile_oct_dense_and_sparse_paths_agree():
     rng = np.random.default_rng(6)
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
-    diag = rng.uniform(0.5, 2.0, size=ct.dim)
-    a = structural_projector(ct.full_summing("ct"), diag)(block.vector)
-    b = zero_projector(ct.full_constraint("ct"), diag)(block.vector)
-    out = run_method("oct", block, diag)
+    table = rng.uniform(0.5, 2.0, size=(ct.n_series, ct.n_positions))
+    a = structural_projector(ct.full_summing("ct"), table.ravel())(block.vector)
+    b = zero_projector(ct.full_constraint("ct"), table.ravel())(block.vector)
+    out = run_method("oct", block, table)
     assert np.allclose(out.block.vector, a, atol=1e-9)
     assert np.allclose(out.block.vector, b, atol=1e-9)
 
@@ -152,7 +153,7 @@ def test_seq_coherent_input_unchanged_for_both_orders():
     cb = coherent_block(rng, ct)
     sig = sigma_ols(ct)
     for order in ("cst", "tcs"):
-        out = run_method(f"seq-{order}", cb, sig, sig)
+        out = run_method(f"seq-{order}", cb, sig)
         assert frobenius_gap(out.block, cb) < 1e-10
 
 
@@ -162,8 +163,8 @@ def test_seq_orders_differ_under_general_covariances():
     block = random_block(rng, ct)
     res = ResidualSet(rng.normal(size=(12, ct.n_series, ct.n_positions)) * rng.uniform(0.2, 3.0, size=(1, ct.n_series, 1)))
     sig = sigma_wlsv(ct, res)
-    a = run_method("seq-cst", block, sig, sig)
-    b = run_method("seq-tcs", block, sig, sig)
+    a = run_method("seq-cst", block, sig)
+    b = run_method("seq-tcs", block, sig)
     assert frobenius_gap(a.block, b.block) > 1e-6
 
 
@@ -180,7 +181,7 @@ def test_ka_coherent_input_unchanged():
     cb = coherent_block(rng, ct)
     sig = sigma_ols(ct)
     for order in ("cst", "tcs"):
-        out = run_method(f"ka-{order}", cb, sig, sig)
+        out = run_method(f"ka-{order}", cb, sig)
         assert frobenius_gap(out.block, cb) < 1e-10
         assert "ka-incoherent" not in out.flags
 
@@ -191,7 +192,7 @@ def test_ka_output_fully_coherent_and_differs_from_oct_under_wlsv():
     block = random_block(rng, ct)
     res = ResidualSet(rng.normal(size=(12, ct.n_series, ct.n_positions)) * rng.uniform(0.2, 3.0, size=(1, ct.n_series, 1)))
     sig = sigma_wlsv(ct, res)
-    ka = run_method("ka-tcs", block, sig, sig)
+    ka = run_method("ka-tcs", block, sig)
     tol = 1e-8 * max(1.0, np.abs(ka.block.values).max())
     assert max(ka.coherence) <= tol
     oct_out = run_method("oct", block, sig)
@@ -205,14 +206,13 @@ def test_iterative_single_cycle_under_constant_weights():
     rng = np.random.default_rng(11)
     ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4,))
     block = random_block(rng, ct)
-    w, om = constant_weights(rng, ct)
-    w, om = cs_table(ct, w), te_table(ct, om)
+    table = np.outer(*constant_weights(rng, ct))
     for order in ("cst", "tcs"):
-        out = run_method(f"ite-{order}", block, w, om)
+        out = run_method(f"ite-{order}", block, table)
         assert out.iterations == 1
         assert out.converged
         # the fixed point really is fixed: one more uni-dimensional step moves nothing
-        again = run_method("cs", out.block, w)
+        again = run_method("cs", out.block, table)
         assert frobenius_gap(again.block, out.block) < 1e-6
 
 
@@ -222,7 +222,7 @@ def test_iterative_fixed_point_on_reconciled_input():
     block = random_block(rng, ct)
     sig = sigma_ols(ct)
     first = run_method("oct", block, sig)
-    out = run_method("ite-tcs", first.block, sig, sig)
+    out = run_method("ite-tcs", first.block, sig)
     assert out.iterations == 1
     assert out.trace[0] < 1e-8
 
@@ -237,14 +237,14 @@ def test_iterative_converges_to_oct_under_wlsv():
     scale = max(1.0, np.linalg.norm(block.values))
     gaps = {}
     for delta in (1e-5, 1e-6, 1e-10):
-        out = run_method("ite-tcs", block, sig, sig, delta=delta, max_iter=5000)
+        out = run_method("ite-tcs", block, sig, delta=delta, max_iter=5000)
         assert out.converged
         gaps[delta] = frobenius_gap(out.block, target)
         assert gaps[delta] <= 10 * delta * scale
     assert gaps[1e-5] >= gaps[1e-6] >= gaps[1e-10]
     # both orders land on the same point
-    a = run_method("ite-cst", block, sig, sig, delta=1e-10, max_iter=5000)
-    b = run_method("ite-tcs", block, sig, sig, delta=1e-10, max_iter=5000)
+    a = run_method("ite-cst", block, sig, delta=1e-10, max_iter=5000)
+    b = run_method("ite-tcs", block, sig, delta=1e-10, max_iter=5000)
     assert frobenius_gap(a.block, b.block) <= 1e-6 * scale
 
 
@@ -254,7 +254,7 @@ def test_iterative_flags_non_convergence_but_returns_result():
     block = random_block(rng, ct)
     res = ResidualSet(rng.normal(size=(8, ct.n_series, ct.n_positions)) * rng.uniform(0.2, 3.0, size=(1, ct.n_series, 1)))
     sig = sigma_wlsv(ct, res)
-    out = run_method("ite-tcs", block, sig, sig, delta=1e-14, max_iter=2)
+    out = run_method("ite-tcs", block, sig, delta=1e-14, max_iter=2)
     assert not out.converged
     assert "non-converged" in out.flags
     assert out.iterations == 2
@@ -265,12 +265,12 @@ def test_iterative_validates_arguments():
     block = toy_block()
     sig = sigma_ols(block.structure)
     with pytest.raises(ValidationError, match="unknown method 'ite-both'; choose from"):
-        run_method("ite-both", block, sig, sig)
+        run_method("ite-both", block, sig)
     for delta in (0.0, -1e-6, np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="positive and finite"):
-            run_method("ite-tcs", block, sig, sig, delta=delta)
+            run_method("ite-tcs", block, sig, delta=delta)
     with pytest.raises(ValidationError):
-        run_method("ite-tcs", block, sig, sig, max_iter=0)
+        run_method("ite-tcs", block, sig, max_iter=0)
 
 
 # -- equivalence suite (constant weights) ------------------------------------
@@ -283,19 +283,9 @@ def test_constant_weight_equivalence_suite(seed):
     rng = np.random.default_rng(100 + seed)
     ct = random_structure(rng, max_series=30, max_upper=8, m_choices=(4, 12))
     block = random_block(rng, ct)
-    w, om = constant_weights(rng, ct)
-    oct_weights = np.kron(w, om)
-    w, om = cs_table(ct, w), te_table(ct, om)
-
-    results = {
-        "seq-cst": run_method("seq-cst", block, w, om),
-        "seq-tcs": run_method("seq-tcs", block, w, om),
-        "ka-cst": run_method("ka-cst", block, w, om),
-        "ka-tcs": run_method("ka-tcs", block, w, om),
-        "ite-cst": run_method("ite-cst", block, w, om),
-        "ite-tcs": run_method("ite-tcs", block, w, om),
-        "oct": run_method("oct", block, oct_weights),
-    }
+    table = np.outer(*constant_weights(rng, ct))
+    methods = ("seq-cst", "seq-tcs", "ka-cst", "ka-tcs", "ite-cst", "ite-tcs", "oct")
+    results = {method: run_method(method, block, table) for method in methods}
     assert results["ite-cst"].iterations == 1
     assert results["ite-tcs"].iterations == 1
     tol = 1e-8 * max(1.0, np.linalg.norm(block.values))
@@ -319,9 +309,8 @@ def test_square_block_reads_the_table_one_way_only():
     x = block.vector
     for method in ("cs", "te"):
         oracle = structural_projector(ct.full_summing(method), table.ravel()).dense()
-        for weights in (table, table.ravel()):
-            out = run_method(method, block, weights).block.vector
-            assert np.linalg.norm(out - oracle @ x) <= 1e-9 * np.linalg.norm(x)
+        out = run_method(method, block, table).block.vector
+        assert np.linalg.norm(out - oracle @ x) <= 1e-9 * np.linalg.norm(x)
 
 
 def test_weight_table_must_cover_every_cell():
@@ -331,14 +320,69 @@ def test_weight_table_must_cover_every_cell():
             run_method("cs", block, bad)
     with pytest.raises(ValidationError):
         run_method("te", block, -np.ones((3, 3)))
-    # every n·q-entry array that is not (n, q) or flat would be misread
+    # every n·q-entry array that is not (n, q) would be misread
     ct = toy_ct((4, 2, 1))
     block = random_block(np.random.default_rng(23), ct)
     n, q = ct.n_series, ct.n_positions
-    for bad in (np.ones((q, n)), np.ones((n * q, 1)), np.ones((1, n * q))):
+    for bad in (np.ones((q, n)), np.ones(n * q), np.ones((n * q, 1)), np.ones((1, n * q))):
+        named = f"weights of shape {bad.shape} are not an ({n}, {q}) cell table"
         for method in ("cs", "te", "oct"):
-            with pytest.raises(ValidationError, match="cell table"):
+            with pytest.raises(ValidationError, match=re.escape(named)):
                 run_method(method, block, bad)
+
+
+@pytest.mark.parametrize("method", ["cs", "oct", "ite-tcs"])
+def test_a_covariance_built_for_another_structure_shape_is_rejected(method):
+    # 3 series x 7 positions against 7 series x 3 positions: the same n·q
+    wide = toy_ct((4, 2, 1))
+    tall = build_ct(build_cs(np.ones((1, 6))), build_te([2, 1]))
+    assert wide.dim == tall.dim and wide.n_series != tall.n_series
+    with pytest.raises(ValidationError, match="covariance built for a different structure"):
+        prepare(method, tall, sigma_ols(wide))
+
+
+@pytest.mark.parametrize(
+    "method", [m for m in METHODS if m.partition("-")[0] in ("seq", "ka", "ite")]
+)
+def test_a_composite_report_names_its_one_covariance(method):
+    rng = np.random.default_rng(29)
+    ct = toy_ct((4, 2, 1))
+    block = random_block(rng, ct)
+    res = ResidualSet(rng.normal(size=(6, ct.n_series, ct.n_positions)))
+    for sig in (sigma_ols(ct), sigma_str(ct), sigma_wlsv(ct, res)):
+        assert run_method(method, block, sig).covariance == sig.name
+    assert run_method(method, block, np.ones(block.values.shape)).covariance == "custom"
+
+
+def test_ka_cst_reconciles_a_per_position_table_fully():
+    # ka-cst reads no per-order weight, so a table varying by position is its to take
+    rng = np.random.default_rng(26)
+    ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4, 12))
+    block = random_block(rng, ct)
+    table = rng.uniform(0.5, 2.0, size=(ct.n_series, ct.n_positions))
+    report = run_method("ka-cst", block, table)
+    assert max(report.coherence) <= 1e-9 * max(1.0, np.abs(report.block.values).max())
+    assert "ka-incoherent" not in report.flags
+
+
+def test_ka_tcs_takes_a_separable_table_whose_temporal_weights_vary_by_position():
+    # each order's columns are multiples of its first: one weight per order
+    # up to a scale that its projection does not see
+    rng = np.random.default_rng(27)
+    ct = random_structure(rng, max_series=8, max_upper=3, m_choices=(4, 12))
+    block = random_block(rng, ct)
+    table = np.outer(*constant_weights(rng, ct))
+    ka = run_method("ka-tcs", block, table).block.values
+    target = run_method("oct", block, table).block.values
+    assert np.linalg.norm(ka - target) <= 1e-9 * np.linalg.norm(target)
+
+
+def test_ka_tcs_rejects_a_column_just_off_a_multiple_of_its_orders_first():
+    ct = toy_ct((4, 2, 1))
+    table = np.outer(*constant_weights(np.random.default_rng(28), ct))
+    table[1, 2] *= 1 + 1e-12  # order 2's second position, one series
+    with pytest.raises(ValidationError, match="one cross-sectional weight per order"):
+        prepare("ka-tcs", ct, table)
 
 
 # -- coherence profile -------------------------------------------------------
@@ -358,15 +402,15 @@ def test_coherence_profile_matches_constraint_grid():
     assert r.coherence[0] <= tol(r) and r.coherence[1] > 1e-3
     r = run_method("te", block, sig)
     assert r.coherence[1] <= tol(r) and r.coherence[0] > 1e-3
-    r = run_method("seq-cst", block, sig, sig)
+    r = run_method("seq-cst", block, sig)
     assert r.coherence[1] <= tol(r) and r.coherence[0] > 1e-3
-    r = run_method("seq-tcs", block, sig, sig)
+    r = run_method("seq-tcs", block, sig)
     assert r.coherence[0] <= tol(r) and r.coherence[1] > 1e-3
     for r in (
         run_method("oct", block, sig),
-        run_method("ka-cst", block, sig, sig),
-        run_method("ka-tcs", block, sig, sig),
-        run_method("ite-tcs", block, sig, sig, delta=1e-9, max_iter=5000),
+        run_method("ka-cst", block, sig),
+        run_method("ka-tcs", block, sig),
+        run_method("ite-tcs", block, sig, delta=1e-9, max_iter=5000),
     ):
         assert max(r.coherence) <= tol(r)
 
@@ -565,9 +609,8 @@ def test_prepare_rejects_non_positive_weights_before_any_build(monkeypatch, bad)
             for weights in (table, table.ravel(), good.T):
                 prepare(method, ct, weights)
             continue
-        for weights in (table, table.ravel()):
-            with pytest.raises(ValidationError, match="weights must be positive and finite"):
-                prepare(method, ct, weights)
+        with pytest.raises(ValidationError, match="weights must be positive and finite"):
+            prepare(method, ct, table)
         with pytest.raises(ValidationError, match="cell table"):  # a (q, n) table
             prepare(method, ct, good.T)
 
@@ -591,19 +634,13 @@ def test_prepare_checks_each_weight_it_reads_once(monkeypatch, method):
     real = reconcile._cells
     monkeypatch.setattr(reconcile, "_cells", lambda ct, s: calls.append(s) or real(ct, s))
     ct = toy_ct((4, 2, 1))
-    good, bad = np.ones((ct.n_series, ct.n_positions)), np.zeros(7)
-    if method in ("cs", "oct"):  # the unread temporal weight is never checked
-        prepare(method, ct, good, bad)
-        assert calls == [good]
-    elif method == "te":  # nor the unread cross-sectional one
-        prepare(method, ct, bad, good)
-        assert calls == [good]
-    elif method == "bu":  # nor either weight of bottom-up
-        prepare(method, ct, bad, bad)
+    good = np.ones((ct.n_series, ct.n_positions))
+    if method == "bu":  # reads no weight, so checks none
+        prepare(method, ct, np.zeros(7))
         assert calls == []
-    else:
-        prepare(method, ct, good, 2 * good)
-        assert [c[0, 0] for c in calls] == [1.0, 2.0]
+    else:  # every other method checks its one table once, for every step
+        prepare(method, ct, good)
+        assert calls == [good]
 
 
 @pytest.mark.parametrize("method", ["oct", "cs", "seq-cst", "ka-tcs", "ite-tcs"])
@@ -735,7 +772,7 @@ def test_degenerate_single_order_grid():
     for report in (
         run_method("oct", coherent, sig),
         run_method("te", coherent, sig),
-        run_method("ite-tcs", coherent, sig, sig),
+        run_method("ite-tcs", coherent, sig),
     ):
         assert frobenius_gap(report.block, coherent) < 1e-12
     # the temporal step is the identity even on incoherent input
@@ -749,7 +786,7 @@ def test_constant_residuals_floor_flag_surfaces_and_methods_still_work():
     sig = sigma_wlsv(ct, res)
     assert len(sig.floored) == ct.n_series * len(ct.te.orders)
     block = ForecastBlock(np.array([[4.0, 1.0, 2.0], [1.0, 0.5, 1.0], [2.0, 1.0, 0.5]]), ct)
-    out = run_method("ite-tcs", block, sig, sig)
+    out = run_method("ite-tcs", block, sig)
     # the floored covariance is a scaled identity: single-cycle convergence
     assert out.iterations == 1
     assert "variance-floor" in out.flags
